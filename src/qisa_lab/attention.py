@@ -13,9 +13,19 @@
              observable expectations
 
 Every forward accepts [l, m] or batched [B, l, m] input and an additive
-causal mask, and is differentiable through the tape engine.  When an
-evolved-observable cache is supplied the circuit/map application is
-skipped and value (and q/k) features come from single quadratic forms.
+causal mask, and is differentiable through the tape engine.
+
+Every quantum feature is a real quadratic form x^T A_k x of the
+L2-normalized token x, so the five quantum variants share one feature
+path.  Each weights class builds its coefficients A_k = S^T P~_k S per
+role (value, query, key) and head: S = [Re U; Im U] of the ansatz unitary
+with P~_k the real form of the Pauli matrix P_k, which makes
+A_k = Re(U^dag P_k U); for qisa, S = W~ and P~_k = Re(P_k).  The tape op
+:func:`quadratic_features` turns tokens and coefficients into features.
+Training builds A on the tape; cached inference takes the same A frozen
+from an evolved-observable cache, so the two differ only in where A
+comes from.  Uncached qisa alone keeps its per-observable loop
+(:func:`qisa_value`).
 """
 
 from __future__ import annotations
@@ -27,23 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .qsim import (
-    ObservableCache,
-    PauliString,
-    batched_quadratic_forms,
-    hea_unitary_tensors,
-    pauli_matrix,
-    select_observables,
-)
+from .qsim import ObservableCache, PauliString, hea_unitary_tensors, pauli_matrix, select_observables
 from .tensor import (
     Tensor,
+    _accum,
+    _make,
     concat,
     matmul,
     normalize_rows,
     reshape,
     softmax_rows,
     swap_last,
-    take_index,
 )
 
 VARIANTS = ("csa", "qisa", "qisa_a", "qsann", "qsann_v1", "qsann_v2")
@@ -152,6 +156,41 @@ def total_attention_params(spec: AttentionSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
+# feature coefficients
+# ---------------------------------------------------------------------------
+
+
+def _lift(observables: list[PauliString], real: bool = False) -> Tensor:
+    """Constant observable stack P~ of shape [K, d, d] for S^T P~_k S.
+
+    With ``real`` it is Re(P_k), for a real map S = W~.  Otherwise it is
+    [[Re P_k, -Im P_k], [Im P_k, Re P_k]], the real form of P_k acting on
+    S = [Re U; Im U], so that S^T P~_k S = Re(U^dag P_k U).
+    """
+    mats = np.stack([pauli_matrix(o) for o in observables])
+    if real:
+        return Tensor(mats.real)
+    return Tensor(np.block([[mats.real, -mats.imag], [mats.imag, mats.real]]))
+
+
+def congruence(s: Tensor, lifted: Tensor) -> Tensor:
+    """Coefficients A_k = S^T P~_k S.
+
+    ``s`` is [d, m], giving A of shape [K, m, m], or a per-position stack
+    [L, d, m], giving [L, K, m, m].
+    """
+    if s.ndim == 3:
+        s = reshape(s, (s.shape[0], 1) + s.shape[1:])
+    return matmul(matmul(swap_last(s), lifted), s)
+
+
+def _ansatz_rows(theta: Tensor, spec: AttentionSpec) -> Tensor:
+    """S = [Re U; Im U] of the ansatz unitary, shape [2m, m]."""
+    u_re, u_im = hea_unitary_tensors(theta, spec.n_qubits, spec.p)
+    return concat([u_re, u_im], axis=0)
+
+
+# ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
 
@@ -164,18 +203,6 @@ def _angles(rng, spec):
     return Tensor(rng.uniform(-np.pi, np.pi, size=(spec.p, spec.n_qubits, 3)), requires_grad=True)
 
 
-def _obs_tensor_pairs(observables):
-    """Constant (Re(P)^T, Im(P)^T) tensors; the imaginary part may be None."""
-    pairs = []
-    for obs in observables:
-        mat = pauli_matrix(obs)
-        re_t = Tensor(np.ascontiguousarray(mat.real.T))
-        im = mat.imag
-        im_t = Tensor(np.ascontiguousarray(im.T)) if np.any(im) else None
-        pairs.append((re_t, im_t))
-    return pairs
-
-
 class AttentionWeights:
     """Base: holds an AttentionSpec and enumerates trainable tensors by name."""
 
@@ -186,6 +213,11 @@ class AttentionWeights:
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
+
+    def coefficients(self, head: int) -> dict[str, Tensor]:
+        """Feature coefficients A of one head by role ("query", "key", "value"):
+        [K, m, m] when one stack serves every position, else [l, K, m, m]."""
+        raise ConfigError(f"the {self.spec.variant} variant has no quadratic-form features")
 
 
 class CSAWeights(AttentionWeights):
@@ -217,7 +249,8 @@ class QISAWeights(AttentionWeights):
                          for _ in range(spec.H)]
         self.wo = _normal(rng, (m, m))
         self.value_obs = spec.value_observables()
-        self._value_re = [Tensor(np.real(pauli_matrix(o))) for o in self.value_obs]
+        self._lifted = _lift(self.value_obs, real=True)
+        self._value_re = [Tensor(p) for p in self._lifted.data]
 
     def named_parameters(self):
         out = []
@@ -226,6 +259,9 @@ class QISAWeights(AttentionWeights):
                     (f"head{j}.wv_tilde", self.wv_tilde[j])]
         out.append(("wo", self.wo))
         return out
+
+    def coefficients(self, head):
+        return {"value": congruence(self.wv_tilde[head], self._lifted)}
 
 
 class QISAAWeights(AttentionWeights):
@@ -237,7 +273,7 @@ class QISAAWeights(AttentionWeights):
         self.theta = [_angles(rng, spec) for _ in range(spec.H)]
         self.wo = _normal(rng, (m, m))
         self.value_obs = spec.value_observables()
-        self._value_pairs = _obs_tensor_pairs(self.value_obs)
+        self._lifted = _lift(self.value_obs)
 
     def named_parameters(self):
         out = []
@@ -247,19 +283,53 @@ class QISAAWeights(AttentionWeights):
         out.append(("wo", self.wo))
         return out
 
+    def coefficients(self, head):
+        return {"value": congruence(_ansatz_rows(self.theta[head], self.spec), self._lifted)}
 
-class QSANNWeights(AttentionWeights):
-    """Original per-position form: one circuit triple per token slot."""
+
+class QSANNSharedWeights(AttentionWeights):
+    """Shared circuit triple per head (qsann_v1 and qsann_v2)."""
 
     def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
         self.spec = spec
-        self.theta_q = [[_angles(rng, spec) for _ in range(spec.l)] for _ in range(spec.H)]
-        self.theta_k = [[_angles(rng, spec) for _ in range(spec.l)] for _ in range(spec.H)]
-        self.theta_v = [[_angles(rng, spec) for _ in range(spec.l)] for _ in range(spec.H)]
+        self.theta_q = [self._new_angles(rng) for _ in range(spec.H)]
+        self.theta_k = [self._new_angles(rng) for _ in range(spec.H)]
+        self.theta_v = [self._new_angles(rng) for _ in range(spec.H)]
         self.value_obs = spec.value_observables()
-        self._value_pairs = _obs_tensor_pairs(self.value_obs)
-        self.scalar_obs = PauliString("Z" + "I" * (spec.n_qubits - 1))
-        self._scalar_pair = _obs_tensor_pairs([self.scalar_obs])
+        # qsann_v2 reads vector queries/keys; the others one score, first-qubit Z
+        self.qk_obs = (spec.qk_observables() if spec.variant == "qsann_v2"
+                       else [PauliString("Z" + "I" * (spec.n_qubits - 1))])
+        qk = _lift(self.qk_obs)
+        self._lifted = {"query": qk, "key": qk, "value": _lift(self.value_obs)}
+
+    def _new_angles(self, rng):
+        return _angles(rng, self.spec)
+
+    def _rows(self, theta) -> Tensor:
+        return _ansatz_rows(theta, self.spec)
+
+    def named_parameters(self):
+        out = []
+        for j in range(self.spec.H):
+            out += [(f"head{j}.theta_q", self.theta_q[j]),
+                    (f"head{j}.theta_k", self.theta_k[j]),
+                    (f"head{j}.theta_v", self.theta_v[j])]
+        return out
+
+    def coefficients(self, head):
+        thetas = {"query": self.theta_q[head], "key": self.theta_k[head], "value": self.theta_v[head]}
+        return {role: congruence(self._rows(t), self._lifted[role]) for role, t in thetas.items()}
+
+
+class QSANNWeights(QSANNSharedWeights):
+    """Original per-position form: one circuit triple per token slot."""
+
+    def _new_angles(self, rng):
+        return [_angles(rng, self.spec) for _ in range(self.spec.l)]
+
+    def _rows(self, thetas) -> Tensor:
+        m = self.spec.m
+        return concat([reshape(_ansatz_rows(t, self.spec), (1, 2 * m, m)) for t in thetas], axis=0)
 
     def named_parameters(self):
         out = []
@@ -268,32 +338,6 @@ class QSANNWeights(AttentionWeights):
                 out += [(f"head{j}.pos{i}.theta_q", self.theta_q[j][i]),
                         (f"head{j}.pos{i}.theta_k", self.theta_k[j][i]),
                         (f"head{j}.pos{i}.theta_v", self.theta_v[j][i])]
-        return out
-
-
-class QSANNSharedWeights(AttentionWeights):
-    """Shared circuit triple per head (qsann_v1 and qsann_v2)."""
-
-    def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.theta_q = [_angles(rng, spec) for _ in range(spec.H)]
-        self.theta_k = [_angles(rng, spec) for _ in range(spec.H)]
-        self.theta_v = [_angles(rng, spec) for _ in range(spec.H)]
-        self.value_obs = spec.value_observables()
-        self._value_pairs = _obs_tensor_pairs(self.value_obs)
-        if spec.variant == "qsann_v2":
-            self.qk_obs = spec.qk_observables()
-            self._qk_pairs = _obs_tensor_pairs(self.qk_obs)
-        else:
-            self.scalar_obs = PauliString("Z" + "I" * (spec.n_qubits - 1))
-            self._scalar_pair = _obs_tensor_pairs([self.scalar_obs])
-
-    def named_parameters(self):
-        out = []
-        for j in range(self.spec.H):
-            out += [(f"head{j}.theta_q", self.theta_q[j]),
-                    (f"head{j}.theta_k", self.theta_k[j]),
-                    (f"head{j}.theta_v", self.theta_v[j])]
         return out
 
 
@@ -309,6 +353,95 @@ def build_attention_weights(spec: AttentionSpec, rng: np.random.Generator) -> At
     return cls(spec, rng)
 
 
+def head_coefficients(w: AttentionWeights, head: int, cache: ObservableCache | None = None,
+                      layer: int = 0) -> dict[str, Tensor]:
+    """Coefficients A of one head by role: taken frozen from the cache when
+    one is given, else built on the tape from the head's weights."""
+    if cache is None:
+        return w.coefficients(head)
+    return {role: Tensor(a) for role, a in cache.entry(layer, head).coefficients().items()}
+
+
+# ---------------------------------------------------------------------------
+# the quadratic-feature op
+# ---------------------------------------------------------------------------
+
+
+def _side_by_side(mats: np.ndarray) -> np.ndarray:
+    """[..., K, m, m] -> [..., m, K*m]: the K matrices laid side by side."""
+    k, m = mats.shape[-3], mats.shape[-1]
+    return np.swapaxes(mats, -3, -2).reshape(mats.shape[:-3] + (m, k * m))
+
+
+def _forms(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    m = stacked.shape[-2]
+    rows = (x @ stacked).reshape(x.shape[:-1] + (stacked.shape[-1] // m, m))
+    return (rows @ x[..., None])[..., 0]
+
+
+def batched_quadratic_forms(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Real quadratic forms x^T Re(M_k) x for row-stacked real x.
+
+    ``mats`` is [K, m, m], shared by every row of ``x`` ([..., m]; the
+    result is [..., K]), or [L, K, m, m] against ``x`` of shape [B, l, m]
+    with L >= l, where position i uses ``mats[i]``.  For Hermitian M_k
+    this equals the expectation <x|M_k|x>: Im(M_k) is then antisymmetric
+    and drops out of a real quadratic form.
+
+    The K matrices are laid side by side as one [m, K*m] operand, so one
+    GEMM gives every x^T Re(M_k) and a batched dot with x finishes the
+    forms.  The leading axes of ``x`` are kept, so a [B, l, m] input runs
+    as B small [l, m] @ [m, K*m] GEMMs (per position: l GEMMs of
+    [B, m] @ [m, K*m]): flattening the rows into one GEMM lets a
+    multi-threaded BLAS split a tiny product across threads, which costs
+    far more than the product itself.
+    """
+    stacked = _side_by_side(np.real(mats))
+    if mats.ndim == 4:
+        xt = np.swapaxes(x, 0, 1)
+        return np.swapaxes(_forms(xt, stacked[: len(xt)]), 0, 1)
+    return _forms(x, stacked)
+
+
+def quadratic_features(x: Tensor, a: Tensor) -> Tensor:
+    """Tape op: out[b, i, k] = x_bi^T A_k x_bi for tokens x of shape [B, l, m].
+
+    ``a`` is [K, m, m], one stack shared by every position, or
+    [L, K, m, m] with L >= l, where position i uses A[i].  The forward is
+    :func:`batched_quadratic_forms`; the backward is two GEMMs,
+    dx = sum_k g_k (A_k + A_k^T) x and dA_k = sum g_k x x^T.
+    """
+    per_position = a.ndim == 4
+    if (x.ndim != 3 or a.ndim not in (3, 4) or a.shape[-2:] != (x.shape[-1],) * 2
+            or (per_position and a.shape[0] < x.shape[1])):
+        raise ShapeError(f"coefficients of shape {a.shape} do not fit tokens of shape {x.shape}")
+    l = x.shape[1]
+    coeffs = a.data[:l] if per_position else a.data
+    data = batched_quadratic_forms(x.data, coeffs)
+
+    def backward_fn(g):
+        xs, gs = x.data, g
+        if per_position:  # positions lead, so that each meets its own stack
+            xs, gs = np.swapaxes(xs, 0, 1), np.swapaxes(gs, 0, 1)
+        k, m = coeffs.shape[-3], coeffs.shape[-1]
+        outer = (gs[..., :, None] * xs[..., None, :]).reshape(gs.shape[:-1] + (k * m,))
+        if x.requires_grad:
+            sym = _side_by_side(coeffs + np.swapaxes(coeffs, -1, -2))
+            dx = outer @ np.swapaxes(sym, -1, -2)
+            _accum(x, np.swapaxes(dx, 0, 1) if per_position else dx)
+        if a.requires_grad:
+            da = np.swapaxes(xs, -1, -2) @ outer  # [positions or B, m, K*m]
+            da = np.swapaxes(da.reshape(da.shape[:-1] + (k, m)), -3, -2)
+            if per_position:
+                full = np.zeros(a.shape)
+                full[:l] = da
+                _accum(a, full)
+            else:
+                _accum(a, da.sum(axis=0))
+
+    return _make(data, (x, a), backward_fn)
+
+
 # ---------------------------------------------------------------------------
 # forward helpers
 # ---------------------------------------------------------------------------
@@ -320,26 +453,6 @@ def _ensure_3d(x: Tensor) -> tuple[Tensor, bool]:
     if x.ndim == 3:
         return x, False
     raise ShapeError(f"attention input must be [l, m] or [B, l, m], got {x.shape}")
-
-
-def _evolved_states(xn: Tensor, theta: Tensor, spec: AttentionSpec) -> tuple[Tensor, Tensor]:
-    """Apply the ansatz to row-encoded tokens: rows of xn become U|x>."""
-    u_re, u_im = hea_unitary_tensors(theta, spec.n_qubits, spec.p)
-    return matmul(xn, u_re.T), matmul(xn, u_im.T)
-
-
-def _complex_expectations(s_re: Tensor, s_im: Tensor, pairs) -> Tensor:
-    """Re(<s|P|s>) for each observable pair, stacked along the last axis."""
-    feats = []
-    for re_t, im_t in pairs:
-        t_re = matmul(s_re, re_t)
-        t_im = matmul(s_im, re_t)
-        if im_t is not None:
-            t_re = t_re - matmul(s_im, im_t)
-            t_im = t_im + matmul(s_re, im_t)
-        val = (s_re * t_re).sum(axis=-1, keepdims=True) + (s_im * t_im).sum(axis=-1, keepdims=True)
-        feats.append(val)
-    return concat(feats, axis=-1)
 
 
 def _dot_attention(q: Tensor, k: Tensor, scale: float, mask: np.ndarray) -> Tensor:
@@ -407,8 +520,9 @@ def qisa_value(x: Tensor, wv_tilde: Tensor, value_re_mats: list[Tensor]) -> Tens
     return _congruence_features(normalize_rows(x, zero_fallback=True), wv_tilde, value_re_mats)
 
 
-def qisa_forward(x: Tensor, w: QISAWeights, mask: np.ndarray,
+def qisa_forward(x: Tensor, w: QISAWeights | QISAAWeights, mask: np.ndarray,
                  cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
+    """qisa and qisa_a: dot-product attention over quadratic-form values, then W_o."""
     x3, squeeze = _ensure_3d(x)
     scale = 1.0 / math.sqrt(w.spec.h)
     xn = normalize_rows(x3, zero_fallback=True)
@@ -416,115 +530,31 @@ def qisa_forward(x: Tensor, w: QISAWeights, mask: np.ndarray,
     for j in range(w.spec.H):
         q = matmul(x3, w.wq[j])
         k = matmul(x3, w.wk[j])
-        if cache is not None:
-            v = Tensor(batched_quadratic_forms(xn.data, cache.entry(layer, j).value[0]))
-        else:
+        if cache is None and isinstance(w, QISAWeights):
+            # on the op, uncached qisa runs as fast as the cached path, which
+            # re-hashes every parameter per call; the loop keeps them apart
             v = _congruence_features(xn, w.wv_tilde[j], w._value_re)
-        heads.append(matmul(_dot_attention(q, k, scale, mask), v))
-    out = matmul(concat(heads, axis=-1), w.wo)
-    return reshape(out, out.shape[1:]) if squeeze else out
-
-
-def qisa_a_forward(x: Tensor, w: QISAAWeights, mask: np.ndarray,
-                   cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
-    x3, squeeze = _ensure_3d(x)
-    scale = 1.0 / math.sqrt(w.spec.h)
-    xn = normalize_rows(x3, zero_fallback=True)
-    heads = []
-    for j in range(w.spec.H):
-        q = matmul(x3, w.wq[j])
-        k = matmul(x3, w.wk[j])
-        if cache is not None:
-            v = Tensor(batched_quadratic_forms(xn.data, cache.entry(layer, j).value[0]))
         else:
-            s_re, s_im = _evolved_states(xn, w.theta[j], w.spec)
-            v = _complex_expectations(s_re, s_im, w._value_pairs)
+            v = quadratic_features(xn, head_coefficients(w, j, cache, layer)["value"])
         heads.append(matmul(_dot_attention(q, k, scale, mask), v))
     out = matmul(concat(heads, axis=-1), w.wo)
     return reshape(out, out.shape[1:]) if squeeze else out
 
 
-def qsann_forward(x: Tensor, w: QSANNWeights, mask: np.ndarray,
+def qsann_forward(x: Tensor, w: QSANNSharedWeights, mask: np.ndarray,
                   cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
-    x3, squeeze = _ensure_3d(x)
-    spec = w.spec
-    l = x3.shape[1]
-    if l > spec.l:
-        raise ShapeError(f"sequence length {l} exceeds the {spec.l} per-position circuits")
-    xn = normalize_rows(x3, zero_fallback=True)
-    heads = []
-    for j in range(spec.H):
-        if cache is not None:
-            entry = cache.entry(layer, j)
-            qs = np.einsum("bli,lij,blj->bl", xn.data, np.real(entry.query[:l, 0]), xn.data, optimize=True)
-            ks = np.einsum("bli,lij,blj->bl", xn.data, np.real(entry.key[:l, 0]), xn.data, optimize=True)
-            vals = np.einsum("bli,lkij,blj->blk", xn.data, np.real(entry.value[:l]), xn.data, optimize=True)
-            q, k, v = Tensor(qs), Tensor(ks), Tensor(vals)
-        else:
-            q_cols, k_cols, v_rows = [], [], []
-            for i in range(l):
-                xi = take_index(xn, i, axis=1)
-                sq = _evolved_states(xi, w.theta_q[j][i], spec)
-                sk = _evolved_states(xi, w.theta_k[j][i], spec)
-                sv = _evolved_states(xi, w.theta_v[j][i], spec)
-                q_cols.append(_complex_expectations(*sq, w._scalar_pair))
-                k_cols.append(_complex_expectations(*sk, w._scalar_pair))
-                vi = _complex_expectations(*sv, w._value_pairs)
-                v_rows.append(reshape(vi, (vi.shape[0], 1, vi.shape[1])))
-            q = concat(q_cols, axis=-1)
-            k = concat(k_cols, axis=-1)
-            v = concat(v_rows, axis=1)
-        heads.append(matmul(gaussian_attention(q, k, mask), v))
-    out = concat(heads, axis=-1)
-    return reshape(out, out.shape[1:]) if squeeze else out
-
-
-def qsann_v1_forward(x: Tensor, w: QSANNSharedWeights, mask: np.ndarray,
-                     cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
+    """qsann, qsann_v1 and qsann_v2: circuit queries, keys and values."""
     x3, squeeze = _ensure_3d(x)
     spec = w.spec
     xn = normalize_rows(x3, zero_fallback=True)
     heads = []
     for j in range(spec.H):
-        if cache is not None:
-            entry = cache.entry(layer, j)
-            q = Tensor(batched_quadratic_forms(xn.data, entry.query[0])[..., 0])
-            k = Tensor(batched_quadratic_forms(xn.data, entry.key[0])[..., 0])
-            v = Tensor(batched_quadratic_forms(xn.data, entry.value[0]))
-        else:
-            sq = _evolved_states(xn, w.theta_q[j], spec)
-            sk = _evolved_states(xn, w.theta_k[j], spec)
-            sv = _evolved_states(xn, w.theta_v[j], spec)
-            q = reshape(_complex_expectations(*sq, w._scalar_pair), xn.shape[:-1])
-            k = reshape(_complex_expectations(*sk, w._scalar_pair), xn.shape[:-1])
-            v = _complex_expectations(*sv, w._value_pairs)
-        heads.append(matmul(gaussian_attention(q, k, mask), v))
-    out = concat(heads, axis=-1)
-    return reshape(out, out.shape[1:]) if squeeze else out
-
-
-def qsann_v2_forward(x: Tensor, w: QSANNSharedWeights, mask: np.ndarray,
-                     cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
-    x3, squeeze = _ensure_3d(x)
-    spec = w.spec
-    xn = normalize_rows(x3, zero_fallback=True)
-    scale = 1.0 / math.sqrt(spec.m)
-    heads = []
-    for j in range(spec.H):
-        if cache is not None:
-            entry = cache.entry(layer, j)
-            q = Tensor(batched_quadratic_forms(xn.data, entry.query[0]))
-            k = Tensor(batched_quadratic_forms(xn.data, entry.key[0]))
-            v = Tensor(batched_quadratic_forms(xn.data, entry.value[0]))
-        else:
-            sq = _evolved_states(xn, w.theta_q[j], spec)
-            sk = _evolved_states(xn, w.theta_k[j], spec)
-            sv = _evolved_states(xn, w.theta_v[j], spec)
-            q = _complex_expectations(*sq, w._qk_pairs)
-            k = _complex_expectations(*sk, w._qk_pairs)
-            v = _complex_expectations(*sv, w._value_pairs)
-        if spec.v2_kernel == "dot":
-            attn = _dot_attention(q, k, scale, mask)
+        coeffs = head_coefficients(w, j, cache, layer)
+        q, k, v = (quadratic_features(xn, coeffs[role]) for role in ("query", "key", "value"))
+        if spec.variant != "qsann_v2":  # one score per token: Gaussian kernel
+            attn = gaussian_attention(reshape(q, q.shape[:-1]), reshape(k, k.shape[:-1]), mask)
+        elif spec.v2_kernel == "dot":
+            attn = _dot_attention(q, k, 1.0 / math.sqrt(spec.m), mask)
         else:
             attn = _vector_gaussian_attention(q, k, mask)
         heads.append(matmul(attn, v))
@@ -535,10 +565,10 @@ def qsann_v2_forward(x: Tensor, w: QSANNSharedWeights, mask: np.ndarray,
 _FORWARDS = {
     "csa": csa_forward,
     "qisa": qisa_forward,
-    "qisa_a": qisa_a_forward,
+    "qisa_a": qisa_forward,
     "qsann": qsann_forward,
-    "qsann_v1": qsann_v1_forward,
-    "qsann_v2": qsann_v2_forward,
+    "qsann_v1": qsann_forward,
+    "qsann_v2": qsann_forward,
 }
 
 

@@ -220,7 +220,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .model import LanguageModel
-    from .training import evaluate_cer_wer
+    from .training import evaluate_ce, evaluate_cer_wer
     from .data import Vocab
     from .errors import ConfigError
     from .qsim import load_cache
@@ -248,9 +248,9 @@ def cmd_eval(args) -> int:
         cache = load_cache(args.cache)
 
     t0 = time.perf_counter()
-    ce = evaluate_ce_with_cache(model, split.test_ids, cache)
-    cer_stats, wer_stats = evaluate_cer_wer(model, split.test_ids, vocab,
-                                            n_windows=args.windows, gen_chars=args.gen_chars)
+    ce = evaluate_ce(model, split.test_ids, cache=cache)
+    cer_stats, wer_stats = evaluate_cer_wer(model, split.test_ids, vocab, n_windows=args.windows,
+                                            gen_chars=args.gen_chars, cache=cache)
     wall = time.perf_counter() - t0
 
     from .training import MetricsReport
@@ -264,32 +264,6 @@ def cmd_eval(args) -> int:
         json.dump(report.to_dict(), fh, indent=1)
     print(f"wrote {out}")
     return 0
-
-
-def evaluate_ce_with_cache(model, test_ids, cache):
-    from .training import evaluate_ce
-
-    if cache is None:
-        return evaluate_ce(model, test_ids)
-    # the cached path runs through the same evaluation windows
-    import numpy as np
-
-    from .tensor import Tensor, cross_entropy, no_grad
-
-    l = model.config.l
-    span = l + 1
-    starts = [i * span for i in range(len(test_ids) // span)]
-    losses = []
-    with no_grad():
-        for lo in range(0, len(starts), 64):
-            chunk = starts[lo : lo + 64]
-            inputs = np.stack([test_ids[s : s + l] for s in chunk])
-            targets = np.stack([test_ids[s + 1 : s + l + 1] for s in chunk])
-            logits = model.forward(inputs, cache=cache)
-            for i in range(len(chunk)):
-                losses.append(cross_entropy(Tensor(logits.data[i]), targets[i]).item())
-    losses = np.asarray(losses)
-    return float(losses.mean()), float(losses.std())
 
 
 def cmd_generate(args) -> int:

@@ -17,18 +17,13 @@ import numpy as np
 from . import qsim
 from .attention import (
     AttentionSpec,
-    AttentionWeights,
-    QISAAWeights,
-    QISAWeights,
-    QSANNSharedWeights,
-    QSANNWeights,
     attention_forward,
     build_attention_weights,
     causal_mask,
     total_attention_params,
 )
-from .errors import CheckpointError, ConfigError, ContextOverflowError
-from .qsim import HeadObservables, ObservableCache, hea_unitary_tensors
+from .errors import CheckpointError, ConfigError, ContextOverflowError, ContractError
+from .qsim import HeadObservables, ObservableCache
 from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_grad, reshape
 
 CHECKPOINT_FORMAT = 1
@@ -138,7 +133,7 @@ class LanguageModel:
         if t < 1:
             raise ConfigError("empty token sequence")
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
-            raise IndexError(f"token id outside [0, {self.config.vocab_size})")
+            raise ContractError(f"token id outside [0, {self.config.vocab_size})")
         if cache is not None:
             cache.check_hash(self.parameter_hash())
 
@@ -176,7 +171,9 @@ class LanguageModel:
 
     def attention_param_count_per_layer(self) -> int:
         count = self.blocks[0].attn.param_count()
-        assert count == total_attention_params(self.config.attention_spec())
+        expected = total_attention_params(self.config.attention_spec())
+        if count != expected:
+            raise ContractError(f"attention has {count} parameters per layer, its formula gives {expected}")
         return count
 
     def parameter_blob(self) -> bytes:
@@ -214,15 +211,30 @@ class LanguageModel:
                 manifest = json.load(fh)
         except FileNotFoundError as exc:
             raise CheckpointError(f"checkpoint manifest {path}.json not found") from exc
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise CheckpointError(f"checkpoint manifest {path}.json is not JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CheckpointError(f"checkpoint manifest {path}.json is not a JSON object")
         if manifest.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')}")
-        model = cls(ModelConfig(**manifest["config"]))
+        missing = [key for key in ("config", "parameters", "parameter_hash") if key not in manifest]
+        if missing:
+            raise CheckpointError(f"checkpoint manifest {path}.json lacks {missing}")
+        if not isinstance(manifest["config"], dict):
+            raise CheckpointError("checkpoint config is not a JSON object")
+        model = cls(ModelConfig.from_dict(manifest["config"]))
         expected = [(n, tuple(t.shape)) for n, t in model.named_parameters()]
-        listed = [(e["name"], tuple(e["shape"])) for e in manifest["parameters"]]
+        try:
+            listed = [(e["name"], tuple(e["shape"])) for e in manifest["parameters"]]
+        except (KeyError, TypeError):
+            listed = None
         if expected != listed:
             raise CheckpointError("checkpoint parameter layout does not match this configuration")
-        with open(path + ".bin", "rb") as fh:
-            blob = fh.read()
+        try:
+            with open(path + ".bin", "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError as exc:
+            raise CheckpointError(f"checkpoint blob {path}.bin not found") from exc
         if qsim.params_hash(blob) != manifest["parameter_hash"]:
             raise CheckpointError("checkpoint blob does not match its recorded hash")
         offset = 0
@@ -237,17 +249,19 @@ class LanguageModel:
     # -- evolved-observable cache ---------------------------------------------
 
     def build_observable_cache(self) -> ObservableCache:
-        """Freeze the current value (and q/k) maps into evolved observables."""
+        """Freeze every head's feature coefficients A, the same ones the
+        uncached forward builds on the tape, into an observable cache."""
         spec = self.config.attention_spec()
         if spec.variant == "csa":
             raise ConfigError("the classical variant has no observables to cache")
         entries: dict[tuple[int, int], HeadObservables] = {}
-        for layer, block in enumerate(self.blocks):
-            for head in range(spec.H):
-                entries[(layer, head)] = _evolve_head(block.attn, head)
-        kind = "congruence" if spec.variant == "qisa" else "ansatz"
+        with no_grad():
+            for layer, block in enumerate(self.blocks):
+                for head in range(spec.H):
+                    coeffs = block.attn.coefficients(head)
+                    entries[(layer, head)] = HeadObservables(**{r: a.data for r, a in coeffs.items()})
         return ObservableCache(
-            kind=kind,
+            kind="congruence" if spec.variant == "qisa" else "ansatz",
             n=spec.n_qubits,
             p=spec.p,
             variant=spec.variant,
@@ -255,56 +269,6 @@ class LanguageModel:
             observables=tuple(o.word for o in self.blocks[0].attn.value_obs),
             evolved=MappingProxyType(entries),
         )
-
-
-def _unitary_of(theta: Tensor, spec: AttentionSpec) -> np.ndarray:
-    with no_grad():
-        re, im = hea_unitary_tensors(theta, spec.n_qubits, spec.p)
-    return re.data + 1j * im.data
-
-
-def _evolve_head(attn: AttentionWeights, head: int) -> HeadObservables:
-    spec = attn.spec
-    if isinstance(attn, QISAWeights):
-        w = attn.wv_tilde[head].data
-        stack = np.stack([qsim.evolve_congruence(w, o) for o in attn.value_obs])[None]
-        return HeadObservables(value=_frozen(stack))
-    if isinstance(attn, QISAAWeights):
-        u = _unitary_of(attn.theta[head], spec)
-        stack = np.stack([qsim.evolve_unitary(u, o) for o in attn.value_obs])[None]
-        return HeadObservables(value=_frozen(stack))
-    if isinstance(attn, QSANNWeights):
-        scalar = [attn.scalar_obs]
-        q_stack = np.stack([
-            np.stack([qsim.evolve_unitary(_unitary_of(attn.theta_q[head][i], spec), o) for o in scalar])
-            for i in range(spec.l)
-        ])
-        k_stack = np.stack([
-            np.stack([qsim.evolve_unitary(_unitary_of(attn.theta_k[head][i], spec), o) for o in scalar])
-            for i in range(spec.l)
-        ])
-        v_stack = np.stack([
-            np.stack([qsim.evolve_unitary(_unitary_of(attn.theta_v[head][i], spec), o) for o in attn.value_obs])
-            for i in range(spec.l)
-        ])
-        return HeadObservables(value=_frozen(v_stack), query=_frozen(q_stack), key=_frozen(k_stack))
-    if isinstance(attn, QSANNSharedWeights):
-        qk_obs = attn.qk_obs if spec.variant == "qsann_v2" else [attn.scalar_obs]
-        uq = _unitary_of(attn.theta_q[head], spec)
-        uk = _unitary_of(attn.theta_k[head], spec)
-        uv = _unitary_of(attn.theta_v[head], spec)
-        return HeadObservables(
-            value=_frozen(np.stack([qsim.evolve_unitary(uv, o) for o in attn.value_obs])[None]),
-            query=_frozen(np.stack([qsim.evolve_unitary(uq, o) for o in qk_obs])[None]),
-            key=_frozen(np.stack([qsim.evolve_unitary(uk, o) for o in qk_obs])[None]),
-        )
-    raise ConfigError(f"no cache recipe for {type(attn).__name__}")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    a.flags.writeable = False
-    return a
 
 
 def model_forward(tokens, model: LanguageModel) -> Tensor:

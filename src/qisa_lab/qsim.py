@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -278,33 +280,44 @@ def congruence_expectation(x, w: Tensor, obs: PauliString | str) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+_ROLES = ("value", "query", "key")
+
+
 @dataclass(frozen=True)
 class HeadObservables:
     """Evolved observables of one (layer, head): value plus optional q/k.
 
-    Arrays have shape [instances, n_obs, d, d]; instances is 1 when the
-    head shares one map across tokens and equals the context length for
-    the per-position variant.
+    Each array holds the real coefficients A_k = Re(U^dag P_k U) (for
+    qisa, W^T Re(P_k) W) of shape [instances, n_obs, d, d]; instances is 1
+    when the head shares one map across tokens and equals the context
+    length for the per-position variant.  A shared stack may be given as
+    [n_obs, d, d].  The arrays are stored as read-only copies.
     """
 
     value: np.ndarray
     query: np.ndarray | None = None
     key: np.ndarray | None = None
 
+    def __post_init__(self):
+        for role in _ROLES:
+            a = getattr(self, role)
+            if a is not None:
+                a = np.array(a, ndmin=4)
+                a.flags.writeable = False
+                object.__setattr__(self, role, a)
 
-def _freeze(a: np.ndarray | None) -> np.ndarray | None:
-    if a is None:
-        return None
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    a.flags.writeable = False
-    return a
+    def coefficients(self) -> dict[str, np.ndarray]:
+        """Each role's stack as the feature op takes it: [n_obs, d, d] when
+        one stack serves every position, else [instances, n_obs, d, d]."""
+        return {role: a[0] if len(a) == 1 else a
+                for role in _ROLES if (a := getattr(self, role)) is not None}
 
 
 @dataclass(frozen=True)
 class ObservableCache:
     """Immutable map (layer, head) -> evolved observables."""
 
-    kind: str  # "ansatz" (P' = U^dag P U) or "congruence" (P' = W^T Re(P) W)
+    kind: str  # "ansatz" (A = Re(U^dag P U)) or "congruence" (A = W^T Re(P) W)
     n: int
     p: int
     variant: str
@@ -321,52 +334,6 @@ class ObservableCache:
     def check_hash(self, current: str) -> None:
         if current != self.built_from:
             raise CacheMissError("cache is stale: parameters changed since it was built")
-
-
-def evolve_unitary(u: np.ndarray, p: PauliString | str) -> np.ndarray:
-    return u.conj().T @ pauli_matrix(p) @ u
-
-
-def evolve_congruence(w: np.ndarray, p: PauliString | str) -> np.ndarray:
-    return w.T @ np.real(pauli_matrix(p)) @ w
-
-
-def build_cache(
-    kind: str,
-    per_head_maps: Mapping[tuple[int, int], np.ndarray],
-    observables: list[PauliString],
-    *,
-    variant: str = "",
-    p: int = 0,
-    built_from: str = "",
-) -> ObservableCache:
-    """Evolve every observable through each head's fixed map.
-
-    ``per_head_maps`` holds the trained unitary (kind "ansatz") or the
-    real value map (kind "congruence") per (layer, head).
-    """
-    if kind not in ("ansatz", "congruence"):
-        raise ConfigError(f"unknown cache kind {kind!r}")
-    evolve = evolve_unitary if kind == "ansatz" else evolve_congruence
-    dim = 2 ** observables[0].n if observables else 0
-    entries: dict[tuple[int, int], HeadObservables] = {}
-    for key, mat in per_head_maps.items():
-        mat = np.asarray(mat)
-        if mat.shape != (dim, dim):
-            raise ConfigError(f"map for {key} has shape {mat.shape}, observables need {(dim, dim)}")
-        stack = np.stack([evolve(mat, obs) for obs in observables])[None]
-        assert np.allclose(stack, np.conj(np.swapaxes(stack, -1, -2)), atol=1e-12)
-        entries[key] = HeadObservables(value=_freeze(stack))
-    n = observables[0].n if observables else 0
-    return ObservableCache(
-        kind=kind,
-        n=n,
-        p=p,
-        variant=variant,
-        built_from=built_from,
-        observables=tuple(o.word for o in observables),
-        evolved=MappingProxyType(entries),
-    )
 
 
 def cached_expectation(
@@ -387,32 +354,15 @@ def cached_expectation(
     return float(np.real(np.vdot(x, mat @ x)))
 
 
-def batched_quadratic_forms(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Real quadratic forms x_b^T Re(M_k) x_b for row-stacked real x.
-
-    ``x`` is [..., m] and ``mats`` is [K, m, m]; the result is [..., K].
-    For Hermitian M_k, which every cached observable is, this equals the
-    expectation <x|M_k|x>: Im(M_k) is then antisymmetric and drops out
-    of a real quadratic form.
-
-    The K matrices are laid side by side as one [m, K*m] operand, so one
-    GEMM gives every x^T Re(M_k) and a batched dot with x finishes the
-    forms.  The leading axes of ``x`` are kept, so a [B, l, m] input runs
-    as B small [l, m] @ [m, K*m] GEMMs: flattening the B*l rows into one
-    GEMM lets a multi-threaded BLAS split a tiny product across threads,
-    which costs far more than the product itself.
-    """
-    k, m, _ = mats.shape
-    stacked = np.real(mats).transpose(1, 0, 2).reshape(m, k * m)
-    rows = (x @ stacked).reshape(x.shape[:-1] + (k, m))
-    return (rows @ x[..., None])[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"QOC1"
+_HEADER_FIELDS = {"kind": str, "n": int, "p": int, "variant": str, "parameter_hash": str,
+                  "observables": list, "entries": list}
+_ENTRY_FIELDS = {"layer": int, "head": int, "role": str, "instances": int, "per_instance": int,
+                 "dim": int}
 
 
 def params_hash(blob: bytes) -> str:
@@ -425,7 +375,8 @@ def save_cache(cache: ObservableCache, path) -> None:
     blobs = []
     for (layer, head) in sorted(cache.evolved):
         ho = cache.evolved[(layer, head)]
-        for role, arr in (("value", ho.value), ("query", ho.query), ("key", ho.key)):
+        for role in _ROLES:
+            arr = getattr(ho, role)
             if arr is None:
                 continue
             inst, count, dim, _ = arr.shape
@@ -449,26 +400,78 @@ def save_cache(cache: ObservableCache, path) -> None:
             fh.write(blob)
 
 
+def _check_fields(obj, fields: dict, bad) -> None:
+    if not isinstance(obj, dict):
+        raise bad(f"{obj!r:.40} is not a JSON object")
+    for name, kind in fields.items():
+        if name not in obj:
+            raise bad(f"missing key {name!r}")
+        value = obj[name]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise bad(f"{name!r} is not of type {kind.__name__}")
+
+
+def _check_header(raw: bytes, blob_bytes: int, bad) -> dict:
+    """Parse a QOC1 header and check it against the blob size it announces."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError:  # also UnicodeDecodeError
+        raise bad("the header is not UTF-8 JSON") from None
+    _check_fields(header, _HEADER_FIELDS, bad)
+    if not all(isinstance(o, str) for o in header["observables"]):
+        raise bad("'observables' must be a list of Pauli words")
+    n, total, roles = header["n"], 0, {}
+    for ent in header["entries"]:
+        _check_fields(ent, _ENTRY_FIELDS, bad)
+        dim, role = ent["dim"], ent["role"]
+        if role not in _ROLES:
+            raise bad(f"unknown role {role!r}")
+        if dim < 1 or dim & (dim - 1) or dim.bit_length() != n + 1:  # dim != 2**n
+            raise bad(f"entry dim {dim} does not match n={n} qubits")
+        if ent["instances"] < 1 or ent["per_instance"] < 1:
+            raise bad("an entry has a non-positive instance or observable count")
+        head_roles = roles.setdefault((ent["layer"], ent["head"]), set())
+        if role in head_roles:
+            raise bad(f"two {role} entries for layer {ent['layer']}, head {ent['head']}")
+        head_roles.add(role)
+        total += 16 * ent["instances"] * ent["per_instance"] * dim * dim
+    for (layer, head), head_roles in roles.items():
+        if "value" not in head_roles or ("query" in head_roles) != ("key" in head_roles):
+            raise bad(f"layer {layer}, head {head} has roles {sorted(head_roles)}")
+    if total != blob_bytes:
+        raise bad(f"the entries need {total} bytes of matrices, the file holds {blob_bytes}")
+    return header
+
+
 def load_cache(path) -> ObservableCache:
-    with open(path, "rb") as fh:
+    """Read a QOC1 file into real coefficients.
+
+    The header is checked against itself and against the file size before
+    any blob is read; a malformed file raises ConfigError.  Files holding
+    complex evolved observables U^dag P U load as their real parts.
+    """
+
+    def bad(why):
+        return ConfigError(f"{path} is not a valid observable cache: {why}")
+
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read observable cache {path}: {exc}") from exc
+    with fh:
         if fh.read(4) != _MAGIC:
             raise ConfigError(f"{path} is not an observable cache file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(8)
+        hlen = struct.unpack("<Q", prefix)[0] if len(prefix) == 8 else size
+        if 12 + hlen > size:
+            raise bad("the header runs past the end of the file")
+        header = _check_header(fh.read(hlen), size - 12 - hlen, bad)
         parts: dict[tuple[int, int], dict[str, np.ndarray]] = {}
         for ent in header["entries"]:
             shape = (ent["instances"], ent["per_instance"], ent["dim"], ent["dim"])
-            nbytes = int(np.prod(shape)) * 16
-            arr = np.frombuffer(fh.read(nbytes), dtype="<c16").reshape(shape)
-            parts.setdefault((ent["layer"], ent["head"]), {})[ent["role"]] = arr
-    evolved = {
-        key: HeadObservables(
-            value=_freeze(roles["value"]),
-            query=_freeze(roles.get("query")),
-            key=_freeze(roles.get("key")),
-        )
-        for key, roles in parts.items()
-    }
+            arr = np.frombuffer(fh.read(16 * math.prod(shape)), dtype="<c16").reshape(shape)
+            parts.setdefault((ent["layer"], ent["head"]), {})[ent["role"]] = np.real(arr)
     return ObservableCache(
         kind=header["kind"],
         n=header["n"],
@@ -476,5 +479,5 @@ def load_cache(path) -> ObservableCache:
         variant=header["variant"],
         built_from=header["parameter_hash"],
         observables=tuple(header["observables"]),
-        evolved=MappingProxyType(evolved),
+        evolved=MappingProxyType({key: HeadObservables(**roles) for key, roles in parts.items()}),
     )

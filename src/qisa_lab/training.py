@@ -12,6 +12,7 @@ from .data import SplitDataset, Vocab, batch_iter
 from .errors import ConfigError, ContractError, InsufficientDataError, NumericError, TrainingDiverged
 from .metrics import cer, wer
 from .model import LanguageModel
+from .qsim import ObservableCache
 from .tensor import Tensor, cross_entropy, no_grad, softmax_rows
 
 log = logging.getLogger(__name__)
@@ -74,10 +75,6 @@ class Adam:
     def zero_grad(self) -> None:
         for _, p in self.named_params:
             p.zero_grad()
-
-
-def adam_step(optimizer: Adam) -> None:
-    optimizer.step()
 
 
 def clip_gradients(params, max_norm: float) -> float:
@@ -195,7 +192,7 @@ def train(
 
 
 def evaluate_ce(model: LanguageModel, test_ids: np.ndarray, l: int | None = None,
-                batch: int = 64) -> tuple[float, float]:
+                batch: int = 64, cache: ObservableCache | None = None) -> tuple[float, float]:
     """Mean and std of next-token CE over non-overlapping test windows."""
     l = l or model.config.l
     span = l + 1
@@ -208,10 +205,12 @@ def evaluate_ce(model: LanguageModel, test_ids: np.ndarray, l: int | None = None
             chunk = starts[lo : lo + batch]
             inputs = np.stack([test_ids[s : s + l] for s in chunk])
             targets = np.stack([test_ids[s + 1 : s + l + 1] for s in chunk])
-            logits = model.forward(inputs)
-            for i in range(len(chunk)):
-                losses.append(cross_entropy(Tensor(logits.data[i]), targets[i]).item())
-    losses = np.asarray(losses)
+            logits = model.forward(inputs, cache=cache).data
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+            losses.append(nll.mean(axis=-1))
+    losses = np.concatenate(losses)
     return float(losses.mean()), float(losses.std())
 
 
@@ -227,7 +226,8 @@ def generate(model: LanguageModel, prompt_ids, n_chars: int, mode: str = "greedy
 
 
 def _generate_batch(model: LanguageModel, prompts: np.ndarray, n_chars: int,
-                    mode: str, temperature: float, seed: int) -> np.ndarray:
+                    mode: str, temperature: float, seed: int,
+                    cache: ObservableCache | None = None) -> np.ndarray:
     l = model.config.l
     if prompts.shape[1] > l:
         raise ContractError(f"prompt of length {prompts.shape[1]} exceeds context size {l}")
@@ -237,7 +237,7 @@ def _generate_batch(model: LanguageModel, prompts: np.ndarray, n_chars: int,
     with no_grad():
         for _ in range(n_chars):
             window = seq[:, -l:]
-            logits = model.forward(window).data[:, -1, :]
+            logits = model.forward(window, cache=cache).data[:, -1, :]
             if mode == "greedy":
                 nxt = logits.argmax(axis=-1)
             else:
@@ -255,12 +255,14 @@ def evaluate_cer_wer(
     *,
     n_windows: int = 100,
     gen_chars: int = 64,
+    cache: ObservableCache | None = None,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Greedy-continuation CER/WER over evenly spaced test windows.
 
     Each window supplies a context-sized prompt; the model generates
     ``gen_chars`` characters that are scored against the true
-    continuation.  Means and stds are taken across windows.
+    continuation.  Means and stds are taken across windows.  With a
+    ``cache`` the generation runs on the evolved-observable cache.
     """
     l = model.config.l
     span = l + gen_chars
@@ -271,7 +273,7 @@ def evaluate_cer_wer(
     starts = np.unique(np.linspace(0, max_start, n_windows).astype(int))
     prompts = np.stack([test_ids[s : s + l] for s in starts])
     refs = [vocab.decode(test_ids[s + l : s + span]) for s in starts]
-    hyps_ids = _generate_batch(model, prompts, gen_chars, "greedy", 1.0, 0)
+    hyps_ids = _generate_batch(model, prompts, gen_chars, "greedy", 1.0, 0, cache=cache)
     cers, wers = [], []
     for ref, hyp_ids in zip(refs, hyps_ids):
         hyp = vocab.decode(hyp_ids)

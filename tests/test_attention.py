@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import finite_diff, rel_err
 from qisa_lab.attention import (
     VARIANTS,
     AttentionSpec,
-    _complex_expectations,
     _dot_attention,
-    _evolved_states,
     attention_forward,
+    batched_quadratic_forms,
     build_attention_weights,
     canonical_variant,
     causal_mask,
@@ -15,6 +15,7 @@ from qisa_lab.attention import (
     gaussian_attention,
     output_projection_params,
     qisa_value,
+    quadratic_features,
     total_attention_params,
 )
 from qisa_lab.errors import ConfigError, ShapeError
@@ -32,6 +33,12 @@ from qisa_lab.tensor import Tensor, normalize_rows
 def make_weights(variant, m=4, H=1, l=8, p=1, seed=0, **kw):
     spec = AttentionSpec(variant, m=m, H=H, l=l, p=p, **kw)
     return build_attention_weights(spec, np.random.default_rng(seed))
+
+
+def features(w, x, role="value", head=0):
+    """One head's features of tokens x [B, l, m] on the training path."""
+    xn = normalize_rows(Tensor(x), zero_fallback=True)
+    return quadratic_features(xn, w.coefficients(head)[role]).data
 
 
 class TestSpec:
@@ -162,9 +169,7 @@ class TestQISAA:
         w = make_weights("qisa_a", m=4, H=1, l=4)
         w.theta[0].data[:] = 0.0  # ansatz collapses to the CNOT chain
         x = rng.normal(size=(1, 4, 4))
-        xn = normalize_rows(Tensor(x), zero_fallback=True)
-        s_re, s_im = _evolved_states(xn, w.theta[0], w.spec)
-        got = _complex_expectations(s_re, s_im, w._value_pairs).data[0]
+        got = features(w, x)[0]
         u = hea_unitary(AnsatzParams(np.zeros((1, 2, 3))))
         for i in range(4):
             state = u @ amplitude_encode(x[0, i], 2)
@@ -174,9 +179,7 @@ class TestQISAA:
     def test_random_angle_values_match_statevector_oracle(self, rng):
         w = make_weights("qisa_a", m=4, H=1, l=4, p=2)
         x = rng.normal(size=(1, 3, 4))
-        xn = normalize_rows(Tensor(x), zero_fallback=True)
-        s_re, s_im = _evolved_states(xn, w.theta[0], w.spec)
-        got = _complex_expectations(s_re, s_im, w._value_pairs).data[0]
+        got = features(w, x)[0]
         u = hea_unitary(AnsatzParams(w.theta[0].data))
         for i in range(3):
             state = u @ amplitude_encode(x[0, i], 2)
@@ -185,15 +188,51 @@ class TestQISAA:
 
     def test_values_bounded(self, rng):
         w = make_weights("qisa_a", m=4, H=1, l=6)
-        x = rng.normal(size=(6, 4)) * 5
-        xn = normalize_rows(Tensor(x), zero_fallback=True)
-        s_re, s_im = _evolved_states(xn, w.theta[0], w.spec)
-        v = _complex_expectations(s_re, s_im, w._value_pairs).data
+        x = rng.normal(size=(1, 6, 4)) * 5
+        v = features(w, x)
         assert np.abs(v).max() <= 1.0 + 1e-12
 
     def test_parameter_count_example(self):
         spec = AttentionSpec("qisa_a", m=16, H=1, l=16, p=3)
         assert count_params(spec) == 2 * 16 * 16 + 3 * 4 * 3 == 548
+
+
+class TestQuadraticFeatures:
+    @pytest.mark.parametrize("per_position", [False, True])
+    def test_forward_matches_einsum(self, per_position, rng):
+        x = rng.normal(size=(3, 5, 4))
+        a = rng.normal(size=(6, 2, 4, 4) if per_position else (2, 4, 4))
+        got = quadratic_features(Tensor(x), Tensor(a)).data
+        expect = (np.einsum("bli,lkij,blj->blk", x, a[:5], x) if per_position
+                  else np.einsum("bli,kij,blj->blk", x, a, x))
+        assert np.abs(got - expect).max() < 1e-12
+        assert np.abs(batched_quadratic_forms(x, a) - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("per_position", [False, True])
+    def test_gradients_match_finite_differences(self, per_position, rng):
+        # a non-symmetric A, and one more position stack than tokens use
+        x0 = rng.normal(size=(2, 3, 4))
+        a0 = rng.normal(size=(4, 2, 4, 4) if per_position else (2, 4, 4))
+        weights = rng.normal(size=(2, 3, 2))
+
+        def loss(x, a):
+            return (quadratic_features(x, a) * Tensor(weights)).sum()
+
+        xt, at = Tensor(x0.copy(), requires_grad=True), Tensor(a0.copy(), requires_grad=True)
+        loss(xt, at).backward()
+        dx = finite_diff(lambda arr: loss(Tensor(arr), Tensor(a0)).item(), x0.copy())
+        da = finite_diff(lambda arr: loss(Tensor(x0), Tensor(arr)).item(), a0.copy())
+        assert rel_err(xt.grad, dx) < 1e-8
+        assert rel_err(at.grad, da) < 1e-8
+        if per_position:
+            assert not at.grad[3].any()  # the unused position gets no gradient
+
+    def test_shape_mismatch(self, rng):
+        x = Tensor(rng.normal(size=(1, 5, 4)))
+        with pytest.raises(ShapeError):
+            quadratic_features(x, Tensor(np.zeros((4, 2, 4, 4))))  # 4 stacks for 5 positions
+        with pytest.raises(ShapeError):
+            quadratic_features(x, Tensor(np.zeros((2, 2, 2))))
 
 
 class TestGaussianAttention:
@@ -268,18 +307,30 @@ class TestQSANNFamily:
         x = rng.normal(size=(1, 4, 4))
         x[0, 0] = row
         x[0, 3] = row
-        xn = normalize_rows(Tensor(x), zero_fallback=True)
-        s_re, s_im = _evolved_states(xn, w.theta_v[0], w.spec)
-        v = _complex_expectations(s_re, s_im, w._value_pairs).data[0]
+        v = features(w, x)[0]
         np.testing.assert_allclose(v[0], v[3], atol=1e-14)
 
     def test_v2_qk_bounded(self, rng):
         w = make_weights("qsann_v2", m=4, H=1, l=4)
         x = rng.normal(size=(1, 4, 4)) * 4
-        xn = normalize_rows(Tensor(x), zero_fallback=True)
-        s_re, s_im = _evolved_states(xn, w.theta_q[0], w.spec)
-        q = _complex_expectations(s_re, s_im, w._qk_pairs).data
+        q = features(w, x, "query")
         assert np.abs(q).max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("variant", ["qsann", "qsann_v1", "qsann_v2"])
+    def test_features_match_statevector_oracle(self, variant, rng):
+        w = make_weights(variant, m=4, H=1, l=3, p=2)
+        x = rng.normal(size=(2, 3, 4))
+        thetas = {"query": w.theta_q[0], "key": w.theta_k[0], "value": w.theta_v[0]}
+        observables = {"query": w.qk_obs, "key": w.qk_obs, "value": w.value_obs}
+        for role, theta in thetas.items():
+            got = features(w, x, role)
+            for i in range(3):
+                angles = theta[i] if variant == "qsann" else theta
+                u = hea_unitary(AnsatzParams(angles.data))
+                for b in range(2):
+                    state = u @ amplitude_encode(x[b, i], 2)
+                    for k, o in enumerate(observables[role]):
+                        assert abs(got[b, i, k] - expectation(state, pauli_matrix(o))) < 1e-12
 
     def test_v2_gaussian_kernel_option(self, rng):
         dot = make_weights("qsann_v2", m=4, H=1, l=4, seed=5)

@@ -147,8 +147,12 @@ class TestEvalCommand:
                        "--windows", "2", "--gen-chars", "8", "--out", str(out)] + extra)
             assert rc == 0
             report = json.loads(out.read_text())
-            reports.append((report["ce_mean"], report["ce_std"]))
-        assert reports[0] == pytest.approx(reports[1], abs=1e-10)
+            reports.append(report)
+        plain, cached = reports
+        assert (cached["ce_mean"], cached["ce_std"]) == pytest.approx(
+            (plain["ce_mean"], plain["ce_std"]), abs=1e-10)
+        for key in ("cer_mean", "cer_std", "wer_mean", "wer_std"):
+            assert cached[key] == plain[key], key
 
     def test_eval_deterministic(self, tmp_path, tiny_config):
         out_dir = run_train(tmp_path, tiny_config)
@@ -162,6 +166,118 @@ class TestEvalCommand:
             report.pop("wall_time_s")
             reports.append(report)
         assert reports[0] == reports[1]
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: "{not json",
+        lambda m: json.dumps([m]),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "config"}),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "parameters"}),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "parameter_hash"}),
+        lambda m: json.dumps({**m, "config": {**m["config"], "extra_key": 1}}),
+    ], ids=["not-json", "not-object", "no-config", "no-parameters", "no-hash", "unknown-config-key"])
+    def test_eval_reports_a_typed_error(self, tmp_path, tiny_config, corrupt, capsys):
+        out_dir = run_train(tmp_path, tiny_config)
+        manifest_path = out_dir / "checkpoint.json"
+        manifest_path.write_text(corrupt(json.loads(manifest_path.read_text())))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint"), "--windows", "2",
+                   "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_manifest_errors_are_checkpoint_errors(self, tmp_path, tiny_config):
+        from qisa_lab.errors import CheckpointError
+        from qisa_lab.model import LanguageModel
+
+        out_dir = run_train(tmp_path, tiny_config)
+        manifest_path = out_dir / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        for text in ("{not json", json.dumps({k: v for k, v in manifest.items() if k != "parameters"})):
+            manifest_path.write_text(text)
+            with pytest.raises(CheckpointError):
+                LanguageModel.load(out_dir / "checkpoint")
+
+
+def _cache_file_edits():
+    """Hypothesis strategy: a function that damages the bytes of a cache file."""
+    from hypothesis import strategies as st
+
+    values = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(allow_nan=True),
+                       st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=3))
+
+    def truncate(cut):
+        return lambda data: data[:cut % len(data)]
+
+    def flip(pos, bits):
+        return lambda data: (data[:pos % len(data)] + bytes([data[pos % len(data)] ^ bits])
+                             + data[pos % len(data) + 1:])
+
+    def edit_header(target, key_index, value, delete):
+        def apply(data):
+            import struct
+
+            (hlen,) = struct.unpack("<Q", data[4:12])
+            header = json.loads(data[12:12 + hlen])
+            obj = header if target is None else header["entries"][target % len(header["entries"])]
+            key = sorted(obj)[key_index % len(obj)]
+            if delete:
+                del obj[key]
+            else:
+                obj[key] = value
+            raw = json.dumps(header).encode("utf-8")
+            return data[:4] + struct.pack("<Q", len(raw)) + raw + data[12 + hlen:]
+        return apply
+
+    return st.one_of(
+        st.builds(truncate, st.integers(0, 2**20)),
+        st.builds(flip, st.integers(0, 2**20), st.integers(1, 255)),
+        st.builds(edit_header, st.one_of(st.none(), st.integers(0, 50)), st.integers(0, 50), values,
+                  st.booleans()),
+    )
+
+
+@pytest.fixture(scope="module")
+def shared_cache_run(tmp_path_factory):
+    """A trained qsann_v1 checkpoint (value, query and key roles) and its cache."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = root / "corpus.txt"
+    corpus.write_text("the rose by any other name would smell as sweet\n" * 40)
+    cfg = {"model": {"variant": "qsann_v1", "m": 4, "H": 1, "n_layers": 1, "l": 8, "p": 1, "seed": 0},
+           "train": {"epochs": 1, "batch": 64, "lr": 3e-3, "eval_every": 0, "seed": 0},
+           "data": {"corpus": str(corpus)}}
+    (root / "config.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(root / "config.json"), "--out-dir", str(root / "run")]) == 0
+    ckpt = root / "run" / "checkpoint"
+    assert main(["cache", "--checkpoint", str(ckpt), "--out", str(root / "good.cache")]) == 0
+    return root, ckpt, (root / "good.cache").read_bytes()
+
+
+def test_damaged_cache_file_is_a_typed_error(shared_cache_run):
+    from hypothesis import HealthCheck, given, settings
+
+    from qisa_lab.errors import QisaLabError
+    from qisa_lab.qsim import load_cache
+
+    root, ckpt, good = shared_cache_run
+    path = root / "damaged.cache"
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_cache_file_edits())
+    def check(damage):
+        path.write_bytes(damage(good))
+        try:
+            load_cache(path)
+            loaded = True
+        except QisaLabError:
+            loaded = False
+        rc = main(["eval", "--checkpoint", str(ckpt), "--cache", str(path), "--windows", "2",
+                   "--gen-chars", "4", "--out", str(root / "m.json")])
+        assert rc in ((0, 2) if loaded else (2,))
+
+    check()
 
 
 class TestGenerateCommand:

@@ -1,9 +1,20 @@
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
 from qisa_lab.attention import VARIANTS
-from qisa_lab.errors import CheckpointError, ConfigError, ContextOverflowError
+from qisa_lab.errors import CheckpointError, ConfigError, ContextOverflowError, ContractError
 from qisa_lab.model import LanguageModel, ModelConfig, model_forward, total_param_count
+from qisa_lab.qsim import (
+    AnsatzParams,
+    HeadObservables,
+    ObservableCache,
+    hea_unitary,
+    load_cache,
+    pauli_matrix,
+    save_cache,
+)
 from qisa_lab.tensor import cross_entropy, no_grad
 
 
@@ -71,7 +82,7 @@ class TestForward:
 
     def test_unknown_token(self):
         model = LanguageModel(tiny_config())
-        with pytest.raises(IndexError):
+        with pytest.raises(ContractError):
             model.forward(np.array([11]))
 
 
@@ -173,6 +184,48 @@ class TestObservableCacheIntegration:
                 direct = model.forward(ids).data
                 cached = model.forward(ids, cache=cache).data
             assert np.abs(direct - cached).max() < 1e-10, variant
+
+    @pytest.mark.parametrize("variant", ["qisa", "qisa_a", "qsann", "qsann_v1", "qsann_v2"])
+    def test_complex_cache_file_still_loads(self, variant, rng, tmp_path):
+        """A QOC1 file of complex evolved observables U^dag P U (W^T Re(P) W
+        for qisa), as files held before they held real coefficients, gives
+        the logits of the model's own cache."""
+        model = LanguageModel(tiny_config(variant=variant, n_layers=2, l=4, p=2))
+        spec = model.config.attention_spec()
+
+        def evolved(theta, observables):
+            u = hea_unitary(AnsatzParams(theta.data))
+            return np.stack([u.conj().T @ pauli_matrix(o) @ u for o in observables])
+
+        entries = {}
+        for layer, block in enumerate(model.blocks):
+            w = block.attn
+            if variant == "qisa":
+                wv = w.wv_tilde[0].data
+                value = np.stack([wv.T @ np.real(pauli_matrix(o)) @ wv for o in w.value_obs])
+                entries[(layer, 0)] = HeadObservables(value=value[None].astype(complex))
+            elif variant == "qisa_a":
+                entries[(layer, 0)] = HeadObservables(value=evolved(w.theta[0], w.value_obs)[None])
+            else:
+                roles = {"value": (w.theta_v[0], w.value_obs), "query": (w.theta_q[0], w.qk_obs),
+                         "key": (w.theta_k[0], w.qk_obs)}
+                entries[(layer, 0)] = HeadObservables(**{
+                    role: (np.stack([evolved(t, obs) for t in theta]) if variant == "qsann"
+                           else evolved(theta, obs)[None])
+                    for role, (theta, obs) in roles.items()})
+        assert variant == "qisa" or np.abs(entries[(0, 0)].value.imag).max() > 1e-3
+        old = ObservableCache(kind="congruence" if variant == "qisa" else "ansatz", n=spec.n_qubits,
+                              p=spec.p, variant=variant, built_from=model.parameter_hash(),
+                              observables=tuple(o.word for o in model.blocks[0].attn.value_obs),
+                              evolved=MappingProxyType(entries))
+        save_cache(old, tmp_path / "old.cache")
+        loaded = load_cache(tmp_path / "old.cache")
+        own = model.build_observable_cache()
+        ids = rng.integers(0, 11, size=(3, 4))
+        with no_grad():
+            from_file = model.forward(ids, cache=loaded).data
+            from_own = model.forward(ids, cache=own).data
+        assert np.abs(from_file - from_own).max() < 1e-10
 
     def test_stale_cache_rejected(self, rng):
         from qisa_lab.errors import CacheMissError

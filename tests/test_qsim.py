@@ -1,14 +1,19 @@
+import json
+import struct
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
 from conftest import finite_diff, rel_err
+from qisa_lab.attention import _lift, batched_quadratic_forms, congruence
 from qisa_lab.errors import CacheMissError, ConfigError, ContractError, DegenerateTokenError
 from qisa_lab.qsim import (
     AnsatzParams,
+    HeadObservables,
+    ObservableCache,
     PauliString,
     amplitude_encode,
-    batched_quadratic_forms,
-    build_cache,
     cached_expectation,
     cnot_chain,
     congruence_expectation,
@@ -223,6 +228,19 @@ class TestCongruenceExpectation:
         assert rel_err(xt.grad, numeric) < 1e-4
 
 
+def build_cache(kind, per_head_maps, observables, *, variant="", p=0, built_from=""):
+    """A cache of the coefficients A_k = S^T P~_k S of each head's fixed map:
+    S = [Re U; Im U] for a unitary (kind "ansatz"), S = W for a real map."""
+    lifted = _lift(observables, real=kind == "congruence")
+    entries = {}
+    for key, mat in per_head_maps.items():
+        s = np.vstack([mat.real, mat.imag]) if kind == "ansatz" else mat
+        entries[key] = HeadObservables(value=congruence(Tensor(s), lifted).data)
+    return ObservableCache(kind=kind, n=observables[0].n, p=p, variant=variant, built_from=built_from,
+                           observables=tuple(o.word for o in observables),
+                           evolved=MappingProxyType(entries))
+
+
 def _assert_batched_forms_match_cache(cache, rng):
     """batched_quadratic_forms on [l, m] and [B, l, m] vs per-entry cached_expectation."""
     mats = cache.entry(0, 0).value[0]
@@ -237,12 +255,22 @@ def _assert_batched_forms_match_cache(cache, rng):
                 assert abs(got[idx + (k,)] - cached_expectation(x[idx], cache, 0, 0, k)) < 1e-12
 
 
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to a cache file's JSON header, keeping its blobs."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12:12 + hlen])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:4] + struct.pack("<Q", len(raw)) + raw + data[12 + hlen:])
+
+
 class TestObservableCache:
     def test_identity_evolution(self):
         obs = select_observables(2, 4, "unitary")
         cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, obs)
         for k, o in enumerate(obs):
-            np.testing.assert_allclose(cache.entry(0, 0).value[0, k], pauli_matrix(o), atol=1e-15)
+            np.testing.assert_allclose(cache.entry(0, 0).value[0, k], pauli_matrix(o).real, atol=1e-15)
 
     def test_cached_matches_direct_simulation(self, rng):
         obs = select_observables(2, 6, "unitary")
@@ -301,9 +329,13 @@ class TestObservableCache:
             cached_expectation([1.0, 0], cache, 0, 0, 0, params_hash="zzz999")
         assert cached_expectation([1.0, 0], cache, 0, 0, 0, params_hash="abc123") == 1.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            build_cache("ansatz", {(0, 0): np.eye(2, dtype=complex)}, [PauliString("ZZ")])
+    def test_dimension_mismatch(self, tmp_path):
+        cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, [PauliString("ZZ")])
+        path = tmp_path / "cache.bin"
+        save_cache(cache, path)
+        _rewrite_header(path, lambda h: h.update(n=3))  # entries hold 4x4 matrices, 2**3 = 8
+        with pytest.raises(ConfigError, match="dim"):
+            load_cache(path)
 
     def test_hermiticity_preserved(self, rng):
         obs = select_observables(2, 4, "unitary")
@@ -340,3 +372,53 @@ class TestObservableCache:
         path.write_bytes(b"not a cache")
         with pytest.raises(ConfigError):
             load_cache(path)
+
+
+class TestCacheFileChecks:
+    """load_cache checks the header against itself and the file size first."""
+
+    @pytest.fixture
+    def cache_file(self, tmp_path):
+        cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex), (1, 0): np.eye(4, dtype=complex)},
+                            select_observables(2, 3, "unitary"), built_from="abc")
+        path = tmp_path / "cache.bin"
+        save_cache(cache, path)
+        return path
+
+    def test_truncated_blob(self, cache_file):
+        cache_file.write_bytes(cache_file.read_bytes()[:-7])
+        with pytest.raises(ConfigError, match="bytes"):
+            load_cache(cache_file)
+
+    def test_header_past_end_of_file(self, cache_file):
+        data = cache_file.read_bytes()
+        cache_file.write_bytes(data[:4] + struct.pack("<Q", len(data)) + data[12:])
+        with pytest.raises(ConfigError, match="end of the file"):
+            load_cache(cache_file)
+
+    def test_header_not_json(self, cache_file):
+        data = bytearray(cache_file.read_bytes())
+        data[12] = 0xFF  # the opening brace becomes an invalid UTF-8 byte
+        cache_file.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match="JSON"):
+            load_cache(cache_file)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h.pop("parameter_hash"), "parameter_hash"),
+        (lambda h: h["entries"][0].pop("dim"), "dim"),
+        (lambda h: h["entries"][0].update(per_instance=0), "non-positive"),
+        (lambda h: h["entries"][0].update(instances=-1), "non-positive"),
+        (lambda h: h["entries"][0].update(role="bias"), "role"),
+        (lambda h: h["entries"][1].update(role="query"), "roles"),
+        (lambda h: h["entries"][1].update(layer=0), "two value entries"),
+        (lambda h: h.update(observables=[1, 2]), "observables"),
+        (lambda h: h.update(n="2"), "'n'"),
+    ])
+    def test_bad_header(self, cache_file, edit, match):
+        _rewrite_header(cache_file, edit)
+        with pytest.raises(ConfigError, match=match):
+            load_cache(cache_file)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_cache(tmp_path / "absent.cache")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qisa_lab.data import Vocab, split_dataset
-from qisa_lab.errors import ConfigError, ContractError, InsufficientDataError, NumericError
+from qisa_lab.errors import CacheMissError, ConfigError, ContractError, InsufficientDataError, NumericError
 from qisa_lab.model import LanguageModel, ModelConfig
 from qisa_lab.tensor import Tensor
 from qisa_lab.training import (
@@ -184,6 +184,13 @@ class TestEvaluateCE:
         with pytest.raises(InsufficientDataError):
             evaluate_ce(model, np.zeros(4, dtype=int))
 
+    def test_cached_matches_plain(self, rng):
+        model = tiny_model(vocab_size=9, variant="qsann_v2")
+        ids = rng.integers(0, 9, size=200)
+        plain = evaluate_ce(model, ids, batch=7)
+        cached = evaluate_ce(model, ids, batch=7, cache=model.build_observable_cache())
+        assert cached == pytest.approx(plain, abs=1e-10)
+
     def test_std_matches_recomputation(self, rng):
         model = tiny_model(vocab_size=9)
         l = model.config.l
@@ -244,7 +251,7 @@ class TestEvaluateCerWer:
         class Echo:
             config = ModelConfig(vocab_size=vocab.size, m=4, H=1, n_layers=1, l=8, variant="csa")
 
-            def forward(self, window):
+            def forward(self, window, cache=None):
                 # emit logits that argmax to the character that truly follows
                 b, t = window.shape
                 logits = np.zeros((b, t, vocab.size))
@@ -291,6 +298,15 @@ class TestEvaluateCerWer:
             wers.append(wer_fn(ref, hyp))
         assert cer_m == pytest.approx(np.mean(cers))
         assert wer_m == pytest.approx(np.mean(wers))
+
+    def test_stale_cache_raises(self):
+        text = "abcabcabcabc abc abc " * 30
+        vocab = Vocab.from_text(text)
+        model = tiny_model(vocab_size=vocab.size, variant="qisa")
+        cache = model.build_observable_cache()
+        model.blocks[0].attn.wv_tilde[0].data[0, 0] += 1.0
+        with pytest.raises(CacheMissError):
+            evaluate_cer_wer(model, vocab.encode(text), vocab, n_windows=2, gen_chars=4, cache=cache)
 
     def test_insufficient_data(self):
         model = tiny_model()
