@@ -67,7 +67,7 @@ _ALIASES = {
 
 
 def canonical_variant(name: str) -> str:
-    key = name.strip().lower().replace(" ", "")
+    key = name.strip().lower().replace(" ", "") if isinstance(name, str) else None
     if key not in _ALIASES:
         raise ConfigError(f"unknown attention variant {name!r}; choose one of {VARIANTS}")
     return _ALIASES[key]
@@ -184,10 +184,13 @@ def congruence(s: Tensor, lifted: Tensor) -> Tensor:
     return matmul(matmul(swap_last(s), lifted), s)
 
 
-def _ansatz_rows(theta: Tensor, spec: AttentionSpec) -> Tensor:
-    """S = [Re U; Im U] of the ansatz unitary, shape [2m, m]."""
-    u_re, u_im = hea_unitary_tensors(theta, spec.n_qubits, spec.p)
-    return concat([u_re, u_im], axis=0)
+def _ansatz_rows(theta: Tensor | list[Tensor], spec: AttentionSpec) -> Tensor:
+    """S = [Re U; Im U] of the ansatz unitary: [2m, m] for one angle tensor,
+    [L, 2m, m] for a list of L, all built by one op."""
+    if isinstance(theta, Tensor):
+        rows = hea_unitary_tensors([theta], spec.n_qubits, spec.p)
+        return reshape(rows, rows.shape[1:])
+    return hea_unitary_tensors(theta, spec.n_qubits, spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +308,6 @@ class QSANNSharedWeights(AttentionWeights):
     def _new_angles(self, rng):
         return _angles(rng, self.spec)
 
-    def _rows(self, theta) -> Tensor:
-        return _ansatz_rows(theta, self.spec)
-
     def named_parameters(self):
         out = []
         for j in range(self.spec.H):
@@ -318,7 +318,8 @@ class QSANNSharedWeights(AttentionWeights):
 
     def coefficients(self, head):
         thetas = {"query": self.theta_q[head], "key": self.theta_k[head], "value": self.theta_v[head]}
-        return {role: congruence(self._rows(t), self._lifted[role]) for role, t in thetas.items()}
+        return {role: congruence(_ansatz_rows(t, self.spec), self._lifted[role])
+                for role, t in thetas.items()}
 
 
 class QSANNWeights(QSANNSharedWeights):
@@ -326,10 +327,6 @@ class QSANNWeights(QSANNSharedWeights):
 
     def _new_angles(self, rng):
         return [_angles(rng, self.spec) for _ in range(self.spec.l)]
-
-    def _rows(self, thetas) -> Tensor:
-        m = self.spec.m
-        return concat([reshape(_ansatz_rows(t, self.spec), (1, 2 * m, m)) for t in thetas], axis=0)
 
     def named_parameters(self):
         out = []

@@ -222,7 +222,7 @@ def cmd_eval(args) -> int:
     from .model import LanguageModel
     from .training import evaluate_ce, evaluate_cer_wer
     from .data import Vocab
-    from .errors import ConfigError
+    from .errors import CheckpointError, ConfigError
     from .qsim import load_cache
 
     model, vocab_chars = LanguageModel.load(args.checkpoint)
@@ -232,7 +232,10 @@ def cmd_eval(args) -> int:
 
     with open(str(args.checkpoint) + ".json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    data_cfg = manifest.get("extra", {}).get("data", {"corpus": args.corpus or "bundled"})
+    extra = manifest.get("extra", {})
+    data_cfg = extra.get("data", {"corpus": args.corpus or "bundled"}) if isinstance(extra, dict) else None
+    if not isinstance(data_cfg, dict):
+        raise CheckpointError(f"checkpoint {args.checkpoint}: 'extra' and 'extra.data' must be JSON objects")
     if args.corpus:
         data_cfg["corpus"] = args.corpus
     from .data import load_corpus, split_dataset

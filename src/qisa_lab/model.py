@@ -45,12 +45,13 @@ class ModelConfig:
     v2_kernel: str = "dot"
 
     def __post_init__(self):
-        for name in ("vocab_size", "m", "H", "n_layers", "l", "p"):
-            val = getattr(self, name)
-            if not isinstance(val, int) or val < 1:
-                raise ConfigError(f"model.{name} must be a positive integer, got {val!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout}")
+        for name in ("vocab_size", "m", "H", "n_layers", "l", "p", "seed"):
+            val, low = getattr(self, name), 0 if name == "seed" else 1
+            if not isinstance(val, int) or isinstance(val, bool) or val < low:
+                raise ConfigError(f"model.{name} must be an integer >= {low}, got {val!r}")
+        if (not isinstance(self.dropout, (int, float)) or isinstance(self.dropout, bool)
+                or not 0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"model.dropout must be a number in [0, 1), got {self.dropout!r}")
         # attention-level constraints (divisibility, power of two, kernel)
         self.variant = AttentionSpec(self.variant, m=self.m, H=self.H, l=self.l,
                                      p=self.p, v2_kernel=self.v2_kernel).variant

@@ -1,10 +1,17 @@
 """Statevector-level primitives behind the quantum attention variants.
 
 Pauli-string observables, amplitude encoding of classical vectors, the
-layered rotation+CNOT ansatz (built through the autodiff tape so
-rotation angles are trainable), expectation values, and the cache of
+layered rotation+CNOT ansatz, expectation values, and the cache of
 evolved observables that makes post-training inference a single
 quadratic form per observable.
+
+The ansatz is one tape op over a batch of angle sets,
+:func:`hea_unitary_tensors`, so rotation angles are trainable: its
+forward builds every 2x2 gate in closed form, combines them per layer by
+Kronecker products and applies the CNOT chain as a row permutation; its
+backward is the adjoint method, which gets each gate's gradient from
+prefix and suffix products over the layers and each angle's from the
+gate's closed-form derivative.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CacheMissError, ConfigError, ContractError, DegenerateTokenError
-from .tensor import Tensor, cos, kron, matmul, no_grad, select_entry, sin
+from .tensor import Tensor, _accum, _make, matmul, no_grad
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=np.complex128),
@@ -150,96 +157,101 @@ def cnot_chain(n: int) -> np.ndarray:
     return out
 
 
-_I2 = np.eye(2)
-_X_RE = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Y_IM_AS_RE = np.array([[0.0, -1.0], [1.0, 0.0]])  # -i*sin * Y is real
-_Z_RE = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-# (re, im) tensor pair; None means an exactly-zero component
-_CTensor = tuple[Tensor | None, Tensor | None]
+_ROTATION_AXES = np.stack([_PAULI_1Q[a] for a in "XYZ"])  # [3, 2, 2]
 
 
-def _cmatmul(a: _CTensor, b: _CTensor) -> _CTensor:
-    are, aim = a
-    bre, bim = b
-    re = im = None
-    if are is not None and bre is not None:
-        re = matmul(are, bre)
-    if aim is not None and bim is not None:
-        t = matmul(aim, bim) * -1.0
-        re = t if re is None else re + t
-    if are is not None and bim is not None:
-        im = matmul(are, bim)
-    if aim is not None and bre is not None:
-        t = matmul(aim, bre)
-        im = t if im is None else im + t
-    return re, im
+@lru_cache(maxsize=None)
+def _cnot_rows(n: int) -> np.ndarray:
+    """Row permutation of ``cnot_chain(n)``: ``cnot_chain(n) @ a == a[rows]``."""
+    return np.argmax(cnot_chain(n), axis=1)
 
 
-def _ckron(a: _CTensor, b: _CTensor) -> _CTensor:
-    are, aim = a
-    bre, bim = b
-    re = im = None
-    if are is not None and bre is not None:
-        re = kron(are, bre)
-    if aim is not None and bim is not None:
-        t = kron(aim, bim) * -1.0
-        re = t if re is None else re + t
-    if are is not None and bim is not None:
-        im = kron(are, bim)
-    if aim is not None and bre is not None:
-        t = kron(aim, bre)
-        im = t if im is None else im + t
-    return re, im
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, batched over the leading ones."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
-def _rotation_gate(axis: int, half_angle: Tensor) -> _CTensor:
-    """exp(-i theta/2 P) for P in (X, Y, Z) as a (re, im) 2x2 pair."""
-    c = cos(half_angle)
-    s = sin(half_angle)
-    if axis == 0:  # X: cos*I - i sin*X
-        return c * Tensor(_I2), s * Tensor(-_X_RE)
-    if axis == 1:  # Y: real matrix
-        return c * Tensor(_I2) + s * Tensor(_Y_IM_AS_RE), None
-    return c * Tensor(_I2), s * Tensor(-_Z_RE)  # Z
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2).conj()
 
 
-def hea_unitary_tensors(theta: Tensor, n: int, p: int) -> tuple[Tensor, Tensor]:
-    """Build the ansatz unitary on the autodiff tape.
+def hea_unitary_tensors(thetas, n: int, p: int) -> Tensor:
+    """Tape op: the ansatz unitaries of S angle sets in one node.
 
+    ``thetas`` is a sequence of S angle tensors, each of shape [p, n, 3].
     One layer applies RX, RY, RZ on every qubit (in that order) and then
     the CNOT chain; layers compose left to right in application order.
-    Returns the real and imaginary parts as tensors of shape [2^n, 2^n].
+    Returns the rows [Re U; Im U] of every unitary, shape [S, 2m, m] with
+    m = 2^n.
+
+    Forward: the 2x2 gates RZ RY RX of all S*p*n qubits at once, their
+    Kronecker product per layer (prefix products over the qubits), the
+    CNOT chain as a row permutation, and the p layers multiplied out.
+    Backward is the adjoint method (Jones & Gacon, arXiv:2009.02823):
+    with G = dL/dRe U + i dL/dIm U, prefix and suffix products over the
+    layers give each layer's gradient, contracting it with the other
+    qubits' gates gives each 2x2 gate's gradient Gamma, and
+    dL/dtheta_a = Re tr(Gamma^dag dg/dtheta_a), where the rotation
+    R_a = exp(-i theta_a P_a / 2) has dR_a/dtheta_a = -i/2 P_a R_a.
     """
-    if theta.shape != (p, n, 3):
-        raise ConfigError(f"theta must have shape ({p}, {n}, 3), got {theta.shape}")
-    chain = Tensor(cnot_chain(n))
-    total: _CTensor | None = None
-    for layer in range(p):
-        rot: _CTensor | None = None
+    thetas = tuple(thetas)
+    if not thetas or any(t.shape != (p, n, 3) for t in thetas):
+        raise ConfigError(f"ansatz angles must be one or more tensors of shape ({p}, {n}, 3), "
+                          f"got {[t.shape for t in thetas]}")
+    m = 2**n
+    rows = _cnot_rows(n)
+    half = np.stack([t.data for t in thetas]) * 0.5  # [S, p, n, 3]
+    c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    # exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P for P = X, Y, Z
+    rx, ry, rz = np.moveaxis(c * np.eye(2) - 1j * s * _ROTATION_AXES, -3, 0)
+    gates = rz @ ry @ rx  # [S, p, n, 2, 2]
+    # left[q] = g_0 x ... x g_{q-1}, right[q] = g_{q+1} x ... x g_{n-1}
+    left = [np.ones(gates.shape[:2] + (1, 1))]
+    right = [np.ones(gates.shape[:2] + (1, 1))]
+    for q in range(n):
+        left.append(_kron(left[-1], gates[:, :, q]))
+        right.insert(0, _kron(gates[:, :, n - 1 - q], right[0]))
+    layers = left[n][:, :, rows, :]  # [S, p, m, m]: CNOT chain after the rotations
+    prefix = [layers[:, 0]]  # prefix[j] = L_j ... L_0
+    for j in range(1, p):
+        prefix.append(layers[:, j] @ prefix[-1])
+    u = prefix[-1]
+    data = np.concatenate([u.real, u.imag], axis=-2)
+
+    def backward_fn(g):
+        grad_u = g[:, :m] + 1j * g[:, m:]
+        # dL/dR_j = C^T A_j^dag G B_j^dag, A_j the layers after j, B_j those before
+        grad_layers = np.empty_like(layers)
+        suffix = None  # L_{p-1} ... L_{j+1}
+        for j in reversed(range(p)):
+            env = grad_u if suffix is None else _adjoint(suffix) @ grad_u
+            grad_layers[:, j][:, rows] = env @ _adjoint(prefix[j - 1]) if j else env
+            suffix = layers[:, j] if suffix is None else suffix @ layers[:, j]
+        grad_gates = np.empty_like(gates)
         for q in range(n):
-            gate: _CTensor | None = None
-            for axis in range(3):
-                half = select_entry(theta, (layer, q, axis)) * 0.5
-                r = _rotation_gate(axis, half)
-                gate = r if gate is None else _cmatmul(r, gate)
-            rot = gate if rot is None else _ckron(rot, gate)
-        layer_u = _cmatmul((chain, None), rot)
-        total = layer_u if total is None else _cmatmul(layer_u, total)
-    re, im = total
-    dim = 2**n
-    if re is None:
-        re = Tensor(np.zeros((dim, dim)))
-    if im is None:
-        im = Tensor(np.zeros((dim, dim)))
-    return re, im
+            dl, dr = 2**q, 2 ** (n - 1 - q)
+            blocks = grad_layers.reshape(gates.shape[:2] + (dl, 2, dr, dl, 2, dr))
+            grad_gates[:, :, q] = np.einsum("spxazybw,spxy,spzw->spab", blocks,
+                                            left[q].conj(), right[q + 1].conj())
+        # dg/dtheta_a = (rotations after a) (-i/2 P_a) (rotations up to a)
+        grad_theta = np.empty(half.shape)
+        for a, (later, upto) in enumerate([(rz @ ry, rx), (rz, ry @ rx), (np.eye(2), gates)]):
+            dg = later @ (-0.5j * _ROTATION_AXES[a]) @ upto
+            grad_theta[..., a] = np.real(np.sum(grad_gates.conj() * dg, axis=(-2, -1)))
+        for t, gt in zip(thetas, grad_theta):
+            _accum(t, gt)
+
+    return _make(data, thetas, backward_fn)
 
 
 def hea_unitary(params: AnsatzParams) -> np.ndarray:
     """Ansatz unitary as a plain complex matrix (no gradient tracking)."""
+    m = 2**params.n
     with no_grad():
-        re, im = hea_unitary_tensors(Tensor(params.theta), params.n, params.p)
-    return re.data + 1j * im.data
+        rows = hea_unitary_tensors([Tensor(params.theta)], params.n, params.p).data[0]
+    return rows[:m] + 1j * rows[m:]
 
 
 # ---------------------------------------------------------------------------

@@ -293,39 +293,6 @@ def take_index(a: Tensor, index: int, axis: int) -> Tensor:
     return _make(data, (a,), backward_fn)
 
 
-def select_entry(a: Tensor, idx: tuple) -> Tensor:
-    """Pick a single scalar entry (0-d tensor)."""
-    a = _as_tensor(a)
-    data = a.data[idx]
-
-    def backward_fn(g):
-        gt = np.zeros_like(a.data)
-        gt[idx] = g
-        _accum(a, gt)
-
-    return _make(np.asarray(data), (a,), backward_fn)
-
-
-def cos(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.cos(a.data)
-
-    def backward_fn(g):
-        _accum(a, -np.sin(a.data) * g)
-
-    return _make(data, (a,), backward_fn)
-
-
-def sin(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.sin(a.data)
-
-    def backward_fn(g):
-        _accum(a, np.cos(a.data) * g)
-
-    return _make(data, (a,), backward_fn)
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
@@ -344,24 +311,6 @@ def gelu(a: Tensor) -> Tensor:
         _accum(a, local * g)
 
     return _make(data, (a,), backward_fn)
-
-
-def kron(a: Tensor, b: Tensor) -> Tensor:
-    """Kronecker product of two matrices."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("kron expects 2-d operands")
-    data = np.kron(a.data, b.data)
-    (ra, ca), (rb, cb) = a.shape, b.shape
-
-    def backward_fn(g):
-        blocks = g.reshape(ra, rb, ca, cb)
-        if a.requires_grad:
-            _accum(a, np.einsum("ikjl,kl->ij", blocks, b.data))
-        if b.requires_grad:
-            _accum(b, np.einsum("ikjl,ij->kl", blocks, a.data))
-
-    return _make(data, (a, b), backward_fn)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:

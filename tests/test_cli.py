@@ -176,7 +176,14 @@ class TestBadCheckpoint:
         lambda m: json.dumps({k: v for k, v in m.items() if k != "parameters"}),
         lambda m: json.dumps({k: v for k, v in m.items() if k != "parameter_hash"}),
         lambda m: json.dumps({**m, "config": {**m["config"], "extra_key": 1}}),
-    ], ids=["not-json", "not-object", "no-config", "no-parameters", "no-hash", "unknown-config-key"])
+        lambda m: json.dumps({**m, "extra": 5}),
+        lambda m: json.dumps({**m, "extra": {"data": 5}}),
+        lambda m: json.dumps({**m, "config": {**m["config"], "dropout": "x"}}),
+        lambda m: json.dumps({**m, "config": {**m["config"], "variant": 5}}),
+        lambda m: json.dumps({**m, "config": {**m["config"], "m": True}}),
+    ], ids=["not-json", "not-object", "no-config", "no-parameters", "no-hash", "unknown-config-key",
+            "extra-not-object", "extra-data-not-object", "dropout-not-number", "variant-not-string",
+            "bool-integer-field"])
     def test_eval_reports_a_typed_error(self, tmp_path, tiny_config, corrupt, capsys):
         out_dir = run_train(tmp_path, tiny_config)
         manifest_path = out_dir / "checkpoint.json"

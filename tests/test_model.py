@@ -39,6 +39,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, variant="qisa", m=12)  # not a power of two
 
+    @pytest.mark.parametrize("field,value", [
+        ("dropout", "x"), ("dropout", False), ("variant", 5), ("variant", None),
+        ("m", True), ("seed", False), ("seed", -1), ("seed", "0"),
+    ])
+    def test_bad_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.from_dict({"vocab_size": 10, "variant": "csa", field: value})
+
 
 class TestForward:
     def test_single_token_shape(self):

@@ -144,10 +144,93 @@ class TestHeaUnitary:
             return float((u.real * w_re).sum() + (u.imag * w_im).sum())
 
         t = Tensor(theta0.copy(), requires_grad=True)
-        re, im = hea_unitary_tensors(t, 2, 2)
-        ((re * Tensor(w_re)).sum() + (im * Tensor(w_im)).sum()).backward()
+        rows = hea_unitary_tensors([t], 2, 2)
+        (rows * Tensor(np.concatenate([w_re, w_im])[None])).sum().backward()
         numeric = finite_diff(loss_data, theta0.copy())
         assert rel_err(t.grad, numeric) < 1e-6
+
+    def test_rejects_bad_angle_shapes(self):
+        with pytest.raises(ConfigError):
+            hea_unitary_tensors([], 2, 1)
+        with pytest.raises(ConfigError):
+            hea_unitary_tensors([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 3)))], 2, 1)
+
+
+def _rotation(axis: int, angle: float) -> np.ndarray:
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    if axis == 0:
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if axis == 1:
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+
+
+def dense_ansatz(theta: np.ndarray) -> np.ndarray:
+    """Reference unitary: per layer, the dense Kronecker product of each
+    qubit's RZ RY RX, then the CNOT chain; layers applied in order."""
+    p, n, _ = theta.shape
+    u = np.eye(2**n, dtype=complex)
+    for layer in range(p):
+        rot = np.ones((1, 1), dtype=complex)
+        for q in range(n):
+            x, y, z = theta[layer, q]
+            rot = np.kron(rot, _rotation(2, z) @ _rotation(1, y) @ _rotation(0, x))
+        u = cnot_chain(n) @ rot @ u
+    return u
+
+
+ORACLE_GRID = [(n, p) for n in (1, 2, 4) for p in (1, 2)]
+
+
+class TestBatchedAnsatzOracles:
+    """The op against references that share none of its code."""
+
+    S = 3
+
+    @pytest.mark.parametrize("n,p", ORACLE_GRID)
+    def test_forward_matches_dense_kron(self, n, p, rng):
+        thetas = [rng.uniform(-np.pi, np.pi, (p, n, 3)) for _ in range(self.S)]
+        rows = hea_unitary_tensors([Tensor(t) for t in thetas], n, p).data
+        m = 2**n
+        assert rows.shape == (self.S, 2 * m, m)
+        for s, theta in enumerate(thetas):
+            u = dense_ansatz(theta)
+            assert np.abs(rows[s, :m] - u.real).max() < 1e-12
+            assert np.abs(rows[s, m:] - u.imag).max() < 1e-12
+
+    @pytest.mark.parametrize("n,p", ORACLE_GRID)
+    def test_gradient_matches_parameter_shift(self, n, p, rng):
+        """f = sum_s,k w_sk <x_s|U_s^dag P_k U_s|x_s> has one frequency in
+        each angle, so the shift rule [f(t + pi/2) - f(t - pi/2)] / 2 is
+        exact.  Every member of the batch has its own angles, tokens and
+        weights, so a gradient routed to the wrong member fails."""
+        m = 2**n
+        obs = select_observables(n, min(3, 4**n - 1), "unitary")
+        paulis = np.stack([pauli_matrix(o) for o in obs])
+        thetas = [rng.uniform(-np.pi, np.pi, (p, n, 3)) for _ in range(self.S)]
+        xs = rng.normal(size=(self.S, m))
+        w = rng.normal(size=(self.S, len(obs)))
+
+        def f(angles):
+            total = 0.0
+            for s, theta in enumerate(angles):
+                state = dense_ansatz(theta) @ xs[s]
+                total += sum(w[s, k] * np.real(np.vdot(state, pk @ state)) for k, pk in enumerate(paulis))
+            return total
+
+        tensors = [Tensor(t.copy(), requires_grad=True) for t in thetas]
+        coeffs = congruence(hea_unitary_tensors(tensors, n, p), _lift(obs))  # [S, K, m, m]
+        weights = w[:, :, None, None] * xs[:, None, :, None] * xs[:, None, None, :]
+        (coeffs * Tensor(weights)).sum().backward()
+        for s in range(self.S):
+            shifted = np.zeros((p, n, 3))
+            for idx in np.ndindex(p, n, 3):
+                plus = [t.copy() for t in thetas]
+                minus = [t.copy() for t in thetas]
+                plus[s][idx] += np.pi / 2
+                minus[s][idx] -= np.pi / 2
+                shifted[idx] = (f(plus) - f(minus)) / 2
+            assert rel_err(tensors[s].grad, shifted) < 1e-10, s
 
 
 class TestExpectation:
