@@ -24,8 +24,7 @@ A_k = Re(U^dag P_k U); for qisa, S = W~ and P~_k = Re(P_k).  The tape op
 :func:`quadratic_features` turns tokens and coefficients into features.
 Training builds A on the tape; cached inference takes the same A frozen
 from an evolved-observable cache, so the two differ only in where A
-comes from.  Uncached qisa alone keeps its per-observable loop
-(:func:`qisa_value`).
+comes from.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .qsim import ObservableCache, PauliString, hea_unitary_tensors, pauli_matrix, select_observables
+from .qsim import PauliString, hea_unitary_tensors, pauli_matrix, select_observables
 from .tensor import (
     Tensor,
     _accum,
@@ -253,7 +252,6 @@ class QISAWeights(AttentionWeights):
         self.wo = _normal(rng, (m, m))
         self.value_obs = spec.value_observables()
         self._lifted = _lift(self.value_obs, real=True)
-        self._value_re = [Tensor(p) for p in self._lifted.data]
 
     def named_parameters(self):
         out = []
@@ -348,15 +346,6 @@ def build_attention_weights(spec: AttentionSpec, rng: np.random.Generator) -> At
         "qsann_v2": QSANNSharedWeights,
     }[spec.variant]
     return cls(spec, rng)
-
-
-def head_coefficients(w: AttentionWeights, head: int, cache: ObservableCache | None = None,
-                      layer: int = 0) -> dict[str, Tensor]:
-    """Coefficients A of one head by role: taken frozen from the cache when
-    one is given, else built on the tape from the head's weights."""
-    if cache is None:
-        return w.coefficients(head)
-    return {role: Tensor(a) for role, a in cache.entry(layer, head).coefficients().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -500,25 +489,8 @@ def csa_forward(x: Tensor, w: CSAWeights, mask: np.ndarray) -> Tensor:
     return reshape(out, out.shape[1:]) if squeeze else out
 
 
-def _congruence_features(xn: Tensor, wv_tilde: Tensor, value_re_mats: list[Tensor]) -> Tensor:
-    y = matmul(xn, wv_tilde.T)
-    feats = []
-    for mat in value_re_mats:
-        t = matmul(y, mat)  # Re(P) is symmetric, so this is (P y)^T row-wise
-        feats.append((t * y).sum(axis=-1, keepdims=True))
-    return concat(feats, axis=-1)
-
-
-def qisa_value(x: Tensor, wv_tilde: Tensor, value_re_mats: list[Tensor]) -> Tensor:
-    """Quadratic-form value features of L2-normalized tokens.
-
-    Row i holds <x_i|W^T P_k W|x_i> for each observable's real matrix.
-    """
-    return _congruence_features(normalize_rows(x, zero_fallback=True), wv_tilde, value_re_mats)
-
-
 def qisa_forward(x: Tensor, w: QISAWeights | QISAAWeights, mask: np.ndarray,
-                 cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
+                 cache: list[dict[str, Tensor]] | None = None) -> Tensor:
     """qisa and qisa_a: dot-product attention over quadratic-form values, then W_o."""
     x3, squeeze = _ensure_3d(x)
     scale = 1.0 / math.sqrt(w.spec.h)
@@ -527,26 +499,22 @@ def qisa_forward(x: Tensor, w: QISAWeights | QISAAWeights, mask: np.ndarray,
     for j in range(w.spec.H):
         q = matmul(x3, w.wq[j])
         k = matmul(x3, w.wk[j])
-        if cache is None and isinstance(w, QISAWeights):
-            # on the op, uncached qisa runs as fast as the cached path, which
-            # re-hashes every parameter per call; the loop keeps them apart
-            v = _congruence_features(xn, w.wv_tilde[j], w._value_re)
-        else:
-            v = quadratic_features(xn, head_coefficients(w, j, cache, layer)["value"])
+        coeffs = w.coefficients(j) if cache is None else cache[j]
+        v = quadratic_features(xn, coeffs["value"])
         heads.append(matmul(_dot_attention(q, k, scale, mask), v))
     out = matmul(concat(heads, axis=-1), w.wo)
     return reshape(out, out.shape[1:]) if squeeze else out
 
 
 def qsann_forward(x: Tensor, w: QSANNSharedWeights, mask: np.ndarray,
-                  cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
+                  cache: list[dict[str, Tensor]] | None = None) -> Tensor:
     """qsann, qsann_v1 and qsann_v2: circuit queries, keys and values."""
     x3, squeeze = _ensure_3d(x)
     spec = w.spec
     xn = normalize_rows(x3, zero_fallback=True)
     heads = []
     for j in range(spec.H):
-        coeffs = head_coefficients(w, j, cache, layer)
+        coeffs = w.coefficients(j) if cache is None else cache[j]
         q, k, v = (quadratic_features(xn, coeffs[role]) for role in ("query", "key", "value"))
         if spec.variant != "qsann_v2":  # one score per token: Gaussian kernel
             attn = gaussian_attention(reshape(q, q.shape[:-1]), reshape(k, k.shape[:-1]), mask)
@@ -570,9 +538,10 @@ _FORWARDS = {
 
 
 def attention_forward(x: Tensor, w: AttentionWeights, mask: np.ndarray,
-                      cache: ObservableCache | None = None, layer: int = 0) -> Tensor:
-    """Dispatch to the forward of the weights' variant."""
+                      cache: list[dict[str, Tensor]] | None = None) -> Tensor:
+    """Dispatch to the forward of the weights' variant.  ``cache`` holds the
+    layer's frozen coefficients A per head, else they are built on the tape."""
     fn = _FORWARDS[w.spec.variant]
     if w.spec.variant == "csa":
         return fn(x, w, mask)
-    return fn(x, w, mask, cache=cache, layer=layer)
+    return fn(x, w, mask, cache=cache)

@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+from .errors import CheckpointError, ConfigError, QisaLabError
+
 
 def _apply_thread_cap() -> None:
     cap = os.environ.get("QISA_LAB_THREADS")
@@ -40,8 +42,6 @@ _PRESET_SHAPES = {
 
 def preset_config(name: str) -> dict:
     """Desk-scale preset: <shape>-<variant>, e.g. emb16-h1-qisa."""
-    from .errors import ConfigError
-
     for shape, model_part in _PRESET_SHAPES.items():
         if name.startswith(shape + "-"):
             variant = name[len(shape) + 1:]
@@ -52,14 +52,29 @@ def preset_config(name: str) -> dict:
         f"unknown preset {name!r}; presets look like emb4-h1-qisa, emb16-h1-csa, emb16-h4-qsann_v2")
 
 
-def load_config(args) -> dict:
-    from .errors import ConfigError
+def _read_config(path) -> dict:
+    """A JSON config file: an object with a 'model' object and optional
+    'train' and 'data' objects."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+    if not isinstance(cfg, dict) or "model" not in cfg:
+        raise ConfigError(f"config file {path} is not a JSON object with a 'model' section")
+    for section in ("model", "train", "data"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object, got {cfg[section]!r:.40}")
+    return cfg
 
+
+def load_config(args) -> dict:
     if getattr(args, "preset", None):
         cfg = preset_config(args.preset)
     elif getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _read_config(args.config)
     else:
         raise ConfigError("pass --config FILE or --preset NAME")
     cfg.setdefault("train", dict(DEFAULT_TRAIN))
@@ -75,28 +90,30 @@ def load_config(args) -> dict:
     if getattr(args, "seed", None) is not None:
         cfg["model"]["seed"] = args.seed
         cfg["train"]["seed"] = args.seed
-    if "model" not in cfg:
-        raise ConfigError("config is missing the 'model' section")
     return cfg
 
 
-def _resolve_corpus(data_cfg: dict) -> Path:
-    from .data import BUNDLED_CORPUS
+def _load_split(data_cfg: dict, vocab=None):
+    """Vocabulary (built from the text unless given) and train/test split of
+    a config's or a checkpoint's ``data`` section, its fields type-checked."""
+    from .data import BUNDLED_CORPUS, build_vocab, load_corpus, split_dataset
+    from .model import is_number
 
     corpus = data_cfg.get("corpus", "bundled")
-    return BUNDLED_CORPUS if corpus == "bundled" else Path(corpus)
-
-
-def _load_split(cfg: dict):
-    from .data import build_vocab, load_corpus, split_dataset
-
-    text = load_corpus(_resolve_corpus(cfg["data"]))
-    fraction = cfg["data"].get("corpus_fraction", 1.0)
-    if fraction < 1.0:
+    fraction = data_cfg.get("corpus_fraction", 1.0)
+    split_fraction = data_cfg.get("split_fraction", 0.2)
+    if not isinstance(corpus, str):
+        raise ConfigError(f"data.corpus must be a path or \"bundled\", got {corpus!r}")
+    if not is_number(fraction) or not 0 < fraction <= 1:
+        raise ConfigError(f"data.corpus_fraction must be a number in (0, 1], got {fraction!r}")
+    if not is_number(split_fraction) or not 0 <= split_fraction < 1:
+        raise ConfigError(f"data.split_fraction must be a number in [0, 1), got {split_fraction!r}")
+    text = load_corpus(BUNDLED_CORPUS if corpus == "bundled" else Path(corpus))
+    if fraction < 1:
         text = text[: int(len(text) * fraction)]
-    vocab = build_vocab(text)
-    split = split_dataset(vocab.encode(text), cfg["data"].get("split_fraction", 0.2))
-    return text, vocab, split
+    if vocab is None:
+        vocab = build_vocab(text)
+    return vocab, split_dataset(vocab.encode(text), split_fraction)
 
 
 def _build_id() -> str:
@@ -185,7 +202,7 @@ def cmd_train(args) -> int:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    text, vocab, split = _load_split(cfg)
+    vocab, split = _load_split(cfg["data"])
     timings["data_s"] = time.perf_counter() - t0
 
     model_cfg = dict(cfg["model"])
@@ -222,7 +239,6 @@ def cmd_eval(args) -> int:
     from .model import LanguageModel
     from .training import evaluate_ce, evaluate_cer_wer
     from .data import Vocab
-    from .errors import CheckpointError, ConfigError
     from .qsim import load_cache
 
     model, vocab_chars = LanguageModel.load(args.checkpoint)
@@ -233,18 +249,12 @@ def cmd_eval(args) -> int:
     with open(str(args.checkpoint) + ".json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     extra = manifest.get("extra", {})
-    data_cfg = extra.get("data", {"corpus": args.corpus or "bundled"}) if isinstance(extra, dict) else None
+    data_cfg = extra.get("data", {}) if isinstance(extra, dict) else None
     if not isinstance(data_cfg, dict):
         raise CheckpointError(f"checkpoint {args.checkpoint}: 'extra' and 'extra.data' must be JSON objects")
     if args.corpus:
         data_cfg["corpus"] = args.corpus
-    from .data import load_corpus, split_dataset
-
-    text = load_corpus(_resolve_corpus(data_cfg))
-    fraction = data_cfg.get("corpus_fraction", 1.0)
-    if fraction < 1.0:
-        text = text[: int(len(text) * fraction)]
-    split = split_dataset(vocab.encode(text), data_cfg.get("split_fraction", 0.2))
+    _, split = _load_split(data_cfg, vocab)
 
     cache = None
     if args.cache:
@@ -271,7 +281,6 @@ def cmd_eval(args) -> int:
 
 def cmd_generate(args) -> int:
     from .data import Vocab
-    from .errors import ConfigError
     from .model import LanguageModel
     from .training import generate
 
@@ -290,9 +299,10 @@ def cmd_params(args) -> int:
     from .attention import VARIANTS, AttentionSpec, count_params, output_projection_params
 
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            model_cfg = json.load(fh)["model"]
-        m, H, p, l = model_cfg["m"], model_cfg["H"], model_cfg.get("p", 1), model_cfg.get("l", 16)
+        from .model import ModelConfig
+
+        cfg = ModelConfig.from_dict({"vocab_size": 1, "variant": "csa", **_read_config(args.config)["model"]})
+        m, H, p, l = cfg.m, cfg.H, cfg.p, cfg.l
     else:
         m, H, p, l = args.m, args.heads, args.p, args.l
     print(f"per-head and total attention parameter counts at m={m}, H={H}, p={p}, l={l}")
@@ -334,6 +344,9 @@ def cmd_bench(args) -> int:
     from .tensor import no_grad
     from .training import Adam, _batch_ce, clip_gradients
 
+    if args.steps < 1 or args.warmup < 0 or args.batch < 1:
+        raise ConfigError(f"bench needs --steps >= 1, --warmup >= 0 and --batch >= 1, "
+                          f"got --steps {args.steps}, --warmup {args.warmup}, --batch {args.batch}")
     variants = [v.strip() for v in args.variants.split(",")]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,7 +376,7 @@ def cmd_bench(args) -> int:
 
         infer_phases = {"infer": infer_step}
         if variant != "csa":
-            cache = model.build_observable_cache()
+            cache = model.cached_coefficients(model.build_observable_cache())
 
             def cached_step():
                 with no_grad():
@@ -485,8 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import QisaLabError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,12 +19,11 @@ BUNDLED_CORPUS = Path(__file__).parent / "corpora" / "shakespeare_ci.txt"
 
 def load_corpus(path) -> str:
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(
-            f"corpus file {path} does not exist; download a plain-text corpus "
-            f"(for example {CORPUS_URL}) or pass the bundled sample"
-        )
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:  # missing, a directory, or not readable
+        raise CorpusError(f"cannot read corpus file {path} ({exc.strerror}); download a plain-text "
+                          f"corpus (for example {CORPUS_URL}) or pass the bundled sample") from exc
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -29,6 +29,11 @@ from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_g
 CHECKPOINT_FORMAT = 1
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ModelConfig:
     """Everything needed to rebuild a model (weights aside)."""
@@ -49,8 +54,7 @@ class ModelConfig:
             val, low = getattr(self, name), 0 if name == "seed" else 1
             if not isinstance(val, int) or isinstance(val, bool) or val < low:
                 raise ConfigError(f"model.{name} must be an integer >= {low}, got {val!r}")
-        if (not isinstance(self.dropout, (int, float)) or isinstance(self.dropout, bool)
-                or not 0.0 <= self.dropout < 1.0):
+        if not is_number(self.dropout) or not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"model.dropout must be a number in [0, 1), got {self.dropout!r}")
         # attention-level constraints (divisibility, power of two, kernel)
         self.variant = AttentionSpec(self.variant, m=self.m, H=self.H, l=self.l,
@@ -88,9 +92,8 @@ class Block:
         self.mlp_w2 = Tensor(rng.normal(0.0, 0.02, (hidden, m)), requires_grad=True)
         self.mlp_b2 = Tensor(np.zeros(m), requires_grad=True)
 
-    def forward(self, x: Tensor, mask: np.ndarray, cache: ObservableCache | None, layer: int) -> Tensor:
-        a = attention_forward(layer_norm(x, self.ln1_gain, self.ln1_bias), self.attn, mask,
-                              cache=cache, layer=layer)
+    def forward(self, x: Tensor, mask: np.ndarray, cache: list[dict[str, Tensor]] | None) -> Tensor:
+        a = attention_forward(layer_norm(x, self.ln1_gain, self.ln1_bias), self.attn, mask, cache=cache)
         x = x + a
         h = gelu(matmul(layer_norm(x, self.ln2_gain, self.ln2_bias), self.mlp_w1) + self.mlp_b1)
         return x + (matmul(h, self.mlp_w2) + self.mlp_b2)
@@ -120,8 +123,10 @@ class LanguageModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, ids, cache: ObservableCache | None = None, training: bool = False) -> Tensor:
-        """Next-token logits for ids of shape [T] or [B, T]."""
+    def forward(self, ids, cache: ObservableCache | list[list[dict[str, Tensor]]] | None = None,
+                training: bool = False) -> Tensor:
+        """Next-token logits for ids of shape [T] or [B, T].  ``cache`` is an
+        observable cache, checked on this call, or :meth:`cached_coefficients`'s table."""
         ids = np.asarray(ids)
         squeeze = ids.ndim == 1
         if squeeze:
@@ -135,8 +140,8 @@ class LanguageModel:
             raise ConfigError("empty token sequence")
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ContractError(f"token id outside [0, {self.config.vocab_size})")
-        if cache is not None:
-            cache.check_hash(self.parameter_hash())
+        if isinstance(cache, ObservableCache):
+            cache = self.cached_coefficients(cache)
 
         m = self.config.m
         tok = reshape(gather_rows(self.tok_emb, ids.reshape(-1)), (b, t, m))
@@ -146,7 +151,7 @@ class LanguageModel:
             x = dropout(x, self.config.dropout, self._dropout_rng)
         mask = causal_mask(t)
         for layer, block in enumerate(self.blocks):
-            x = block.forward(x, mask, cache, layer)
+            x = block.forward(x, mask, None if cache is None else cache[layer])
         x = layer_norm(x, self.lnf_gain, self.lnf_bias)
         logits = matmul(x, self.lm_head)
         return reshape(logits, (t, self.config.vocab_size)) if squeeze else logits
@@ -249,6 +254,13 @@ class LanguageModel:
 
     # -- evolved-observable cache ---------------------------------------------
 
+    def cached_coefficients(self, cache: ObservableCache) -> list[list[dict[str, Tensor]]]:
+        """The cache's coefficients A by layer, head and role as constant tensors,
+        after one check against the parameters; ``forward`` takes them as its cache."""
+        cache.check_hash(self.parameter_hash())
+        return [[{role: Tensor(a) for role, a in cache.entry(layer, head).coefficients().items()}
+                 for head in range(self.config.H)] for layer in range(self.config.n_layers)]
+
     def build_observable_cache(self) -> ObservableCache:
         """Freeze every head's feature coefficients A, the same ones the
         uncached forward builds on the tape, into an observable cache."""
@@ -270,12 +282,3 @@ class LanguageModel:
             observables=tuple(o.word for o in self.blocks[0].attn.value_obs),
             evolved=MappingProxyType(entries),
         )
-
-
-def model_forward(tokens, model: LanguageModel) -> Tensor:
-    """Logits for a single token sequence (length at most the context)."""
-    return model.forward(tokens)
-
-
-def total_param_count(model: LanguageModel) -> int:
-    return model.total_param_count()

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CacheMissError, ConfigError, ContractError, DegenerateTokenError
-from .tensor import Tensor, _accum, _make, matmul, no_grad
+from .tensor import Tensor, _accum, _make, no_grad
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=np.complex128),
@@ -271,22 +271,6 @@ def expectation(state: np.ndarray, obs: np.ndarray) -> float:
     return float(np.real(np.vdot(state, obs @ state)))
 
 
-def congruence_expectation(x, w: Tensor, obs: PauliString | str) -> Tensor:
-    """<x| W^T P W |x> as a differentiable scalar.
-
-    Requires an even-Y observable: odd-Y Pauli matrices are purely
-    imaginary, which makes the quadratic form over real vectors vanish
-    identically, so requesting one is a configuration mistake.
-    """
-    p = obs if isinstance(obs, PauliString) else PauliString(obs)
-    if p.y_parity == 1:
-        raise ConfigError(f"observable {p.word} has odd Y-parity; its congruence expectation is always 0")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    m = Tensor(np.real(pauli_matrix(p)))
-    y = matmul(x.reshape(1, -1), w.T)
-    return matmul(matmul(y, m), y.T).reshape(())
-
-
 # ---------------------------------------------------------------------------
 # evolved-observable cache
 # ---------------------------------------------------------------------------
@@ -346,24 +330,6 @@ class ObservableCache:
     def check_hash(self, current: str) -> None:
         if current != self.built_from:
             raise CacheMissError("cache is stale: parameters changed since it was built")
-
-
-def cached_expectation(
-    x: np.ndarray,
-    cache: ObservableCache,
-    layer: int,
-    head: int,
-    k: int,
-    *,
-    params_hash: str | None = None,
-) -> float:
-    """<x|P'|x> from the cache: one matrix-vector and one dot product."""
-    if params_hash is not None:
-        cache.check_hash(params_hash)
-    entry = cache.entry(layer, head)
-    mat = entry.value[0, k]
-    x = np.asarray(x, dtype=np.complex128)
-    return float(np.real(np.vdot(x, mat @ x)))
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
         backward(self)
 
@@ -277,20 +274,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         _accum(table, gt)
 
     return _make(data, (table,), backward_fn)
-
-
-def take_index(a: Tensor, index: int, axis: int) -> Tensor:
-    """Select one slice along ``axis`` (the axis is dropped)."""
-    a = _as_tensor(a)
-    data = np.take(a.data, index, axis=axis)
-    sel = tuple(index if d == axis % a.ndim else slice(None) for d in range(a.ndim))
-
-    def backward_fn(g):
-        gt = np.zeros_like(a.data)
-        gt[sel] = g
-        _accum(a, gt)
-
-    return _make(data, (a,), backward_fn)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

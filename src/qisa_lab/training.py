@@ -11,7 +11,7 @@ import numpy as np
 from .data import SplitDataset, Vocab, batch_iter
 from .errors import ConfigError, ContractError, InsufficientDataError, NumericError, TrainingDiverged
 from .metrics import cer, wer
-from .model import LanguageModel
+from .model import LanguageModel, is_number
 from .qsim import ObservableCache
 from .tensor import Tensor, cross_entropy, no_grad, softmax_rows
 
@@ -30,12 +30,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"train.epochs must be >= 1, got {self.epochs}")
-        if self.batch < 1:
-            raise ConfigError(f"train.batch must be >= 1, got {self.batch}")
-        if self.lr <= 0:
-            raise ConfigError(f"train.lr must be positive, got {self.lr}")
+        for name in ("epochs", "batch", "eval_every", "seed"):
+            val, low = getattr(self, name), 1 if name in ("epochs", "batch") else 0
+            if not isinstance(val, int) or isinstance(val, bool) or val < low:
+                raise ConfigError(f"train.{name} must be an integer >= {low}, got {val!r}")
+        clip = [] if self.grad_clip is None else [("grad_clip", self.grad_clip)]  # None: no clipping
+        for name, val in [("lr", self.lr), ("eps", self.eps)] + clip:
+            if not is_number(val) or not 0 < val < np.inf:
+                raise ConfigError(f"train.{name} must be a positive number, got {val!r}")
+        if (not isinstance(self.betas, (list, tuple)) or len(self.betas) != 2
+                or not all(is_number(b) and 0 <= b < 1 for b in self.betas)):
+            raise ConfigError(f"train.betas must be two numbers in [0, 1), got {self.betas!r}")
         self.betas = tuple(self.betas)
 
     @classmethod
@@ -199,13 +204,14 @@ def evaluate_ce(model: LanguageModel, test_ids: np.ndarray, l: int | None = None
     starts = [i * span for i in range(len(test_ids) // span)]
     if not starts:
         raise InsufficientDataError(f"test split of {len(test_ids)} ids has no full {span}-id window")
+    coeffs = None if cache is None else model.cached_coefficients(cache)
     losses = []
     with no_grad():
         for lo in range(0, len(starts), batch):
             chunk = starts[lo : lo + batch]
             inputs = np.stack([test_ids[s : s + l] for s in chunk])
             targets = np.stack([test_ids[s + 1 : s + l + 1] for s in chunk])
-            logits = model.forward(inputs, cache=cache).data
+            logits = model.forward(inputs, cache=coeffs).data
             shifted = logits - logits.max(axis=-1, keepdims=True)
             logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
@@ -231,13 +237,14 @@ def _generate_batch(model: LanguageModel, prompts: np.ndarray, n_chars: int,
     l = model.config.l
     if prompts.shape[1] > l:
         raise ContractError(f"prompt of length {prompts.shape[1]} exceeds context size {l}")
+    coeffs = None if cache is None else model.cached_coefficients(cache)
     rng = np.random.default_rng(seed)
     seq = prompts.copy()
     generated = []
     with no_grad():
         for _ in range(n_chars):
             window = seq[:, -l:]
-            logits = model.forward(window, cache=cache).data[:, -1, :]
+            logits = model.forward(window, cache=coeffs).data[:, -1, :]
             if mode == "greedy":
                 nxt = logits.argmax(axis=-1)
             else:

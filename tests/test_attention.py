@@ -14,7 +14,6 @@ from qisa_lab.attention import (
     count_params,
     gaussian_attention,
     output_projection_params,
-    qisa_value,
     quadratic_features,
     total_attention_params,
 )
@@ -111,30 +110,33 @@ class TestCSA:
 
 
 class TestQisaValue:
+    """qisa's value features: the weights' coefficients W^T Re(P_k) W on
+    the feature op, over L2-normalized tokens."""
+
+    @staticmethod
+    def value_features(wv, x):
+        w = make_weights("qisa", m=4, H=1, l=8)  # value observables IX, IZ, XI, XX
+        w.wv_tilde[0].data = np.asarray(wv, dtype=float)
+        return features(w, x[None])[0]
+
     def test_basis_token_identity_map(self):
         # <00|P|00> for IX, IZ, XI, XX by hand: 0, 1, 0, 0
-        obs = select_observables(2, 4, "real_congruence")
-        mats = [Tensor(np.real(pauli_matrix(o))) for o in obs]
-        x = Tensor(np.array([[1.0, 0.0, 0.0, 0.0]]))
-        out = qisa_value(x, Tensor(np.eye(4)), mats)
-        np.testing.assert_allclose(out.data, [[0.0, 1.0, 0.0, 0.0]], atol=1e-14)
+        out = self.value_features(np.eye(4), np.array([[1.0, 0.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(out, [[0.0, 1.0, 0.0, 0.0]], atol=1e-14)
 
     def test_permutation_equivariance(self, rng):
-        obs = select_observables(2, 4, "real_congruence")
-        mats = [Tensor(np.real(pauli_matrix(o))) for o in obs]
-        wv = Tensor(rng.normal(size=(4, 4)))
+        wv = rng.normal(size=(4, 4))
         x = rng.normal(size=(5, 4))
         perm = np.array([3, 0, 4, 1, 2])
-        base = qisa_value(Tensor(x), wv, mats).data
-        permuted = qisa_value(Tensor(x[perm]), wv, mats).data
+        base = self.value_features(wv, x)
+        permuted = self.value_features(wv, x[perm])
         np.testing.assert_allclose(permuted, base[perm], atol=1e-14)
 
     def test_against_dense_oracle(self, rng):
         obs = select_observables(2, 4, "real_congruence")
-        mats = [Tensor(np.real(pauli_matrix(o))) for o in obs]
         wv = rng.normal(size=(4, 4))
         x = rng.normal(size=(6, 4))
-        out = qisa_value(Tensor(x), Tensor(wv), mats).data
+        out = self.value_features(wv, x)
         for i in range(6):
             xi = x[i] / np.linalg.norm(x[i])
             for k, o in enumerate(obs):

@@ -207,6 +207,113 @@ class TestBadCheckpoint:
                 LanguageModel.load(out_dir / "checkpoint")
 
 
+class TestBadConfig:
+    """Malformed config input ends as exit code 2 with a message that names
+    the file or the field."""
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda cfg: "{not json", "not JSON"),
+        (None, "cannot read"),
+        (lambda cfg: json.dumps([cfg]), "not a JSON object"),
+        (lambda cfg: json.dumps({**cfg, "model": [1]}), "'model'"),
+        (lambda cfg: json.dumps({**cfg, "train": 5}), "'train'"),
+        (lambda cfg: json.dumps({**cfg, "data": []}), "'data'"),
+        (lambda cfg: json.dumps({**cfg, "data": {"corpus": 5}}), "data.corpus"),
+        (lambda cfg: json.dumps({**cfg, "data": {**cfg["data"], "split_fraction": "x"}}), "data.split_fraction"),
+        (lambda cfg: json.dumps({**cfg, "data": {**cfg["data"], "split_fraction": 1}}), "data.split_fraction"),
+        (lambda cfg: json.dumps({**cfg, "data": {**cfg["data"], "corpus_fraction": "x"}}),
+         "data.corpus_fraction"),
+        (lambda cfg: json.dumps({**cfg, "data": {**cfg["data"], "corpus_fraction": 0}}), "data.corpus_fraction"),
+        (lambda cfg: json.dumps({**cfg, "train": {**cfg["train"], "epochs": "x"}}), "train.epochs"),
+    ], ids=["not-json", "missing", "list", "model-list", "train-number", "data-list", "corpus-number",
+            "split-fraction-string", "split-fraction-one", "corpus-fraction-string", "corpus-fraction-zero",
+            "epochs-string"])
+    def test_train(self, tmp_path, tiny_config, edit, named, capsys):
+        path = tmp_path / "edited.json"
+        if edit is not None:
+            path.write_text(edit(json.loads(tiny_config.read_text())))
+        rc = main(["train", "--config", str(path), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_eval_reads_the_checkpoint_data_section_alike(self, tmp_path, tiny_config, capsys):
+        out_dir = run_train(tmp_path, tiny_config)
+        manifest_path = out_dir / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["extra"]["data"]["corpus_fraction"] = "x"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint"), "--windows", "2",
+                   "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "data.corpus_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,named", [(None, "cannot read"), ("[1, 2]", "not a JSON object"),
+                                            ('{"model": {"m": "x"}}', "model.m")],
+                             ids=["missing", "list", "m-string"])
+    def test_params(self, tmp_path, text, named, capsys):
+        path = tmp_path / "params.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["params", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_params_reads_a_train_config(self, tiny_config, capsys):
+        assert main(["params", "--config", str(tiny_config)]) == 0
+        assert "m=4, H=1, p=1, l=8" in capsys.readouterr().out
+
+
+def _config_file_edits():
+    """Hypothesis strategy: a function that damages the text of a config
+    file: it deletes a key, gives a value another type, or truncates it."""
+    from hypothesis import strategies as st
+
+    others = (None, True, 2, 0.5, "x", [1, 2], {})
+
+    def keys(cfg):
+        return [(cfg, name) for name in cfg] + [(cfg[name], key) for name in cfg
+                                                 if isinstance(cfg[name], dict) for key in cfg[name]]
+
+    def edit(index, choice, delete):
+        def apply(text):
+            cfg = json.loads(text)
+            owner, key = keys(cfg)[index % len(keys(cfg))]
+            if delete:
+                del owner[key]
+            else:
+                kinds = [v for v in others if type(v) is not type(owner[key])]
+                owner[key] = kinds[choice % len(kinds)]
+            return json.dumps(cfg)
+        return apply
+
+    def truncate(cut):
+        return lambda text: text[:cut % len(text)]
+
+    return st.one_of(st.builds(edit, st.integers(0, 40), st.integers(0, 6), st.booleans()),
+                     st.builds(truncate, st.integers(0, 2**12)))
+
+
+def test_damaged_config_file_is_a_typed_error(tmp_path, tiny_corpus):
+    from hypothesis import HealthCheck, given, settings
+
+    good = json.dumps({
+        "model": {"variant": "qisa", "m": 4, "H": 1, "n_layers": 1, "l": 8, "p": 1, "seed": 0},
+        "train": {"epochs": 1, "batch": 64, "lr": 3e-3, "eval_every": 0, "seed": 0},
+        # a fraction of the corpus keeps a run on the bundled corpus short
+        "data": {"corpus": str(tiny_corpus), "corpus_fraction": 0.5, "split_fraction": 0.2},
+    })
+    path = tmp_path / "damaged.json"
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_config_file_edits())
+    def check(damage):
+        path.write_text(damage(good))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]) in (0, 2)
+
+    check()
+
+
 def _cache_file_edits():
     """Hypothesis strategy: a function that damages the bytes of a cache file."""
     from hypothesis import strategies as st
@@ -371,6 +478,15 @@ class TestBenchCommand:
                 ("qisa", "infer"), ("qisa", "infer_cached")} <= seen
         for row in rows[1:]:
             float(row[3])
+
+    @pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--warmup", "-1"), ("--batch", "0")])
+    def test_bad_counts(self, tmp_path, flag, value, capsys):
+        args = {"--steps": "1", "--warmup": "0", "--batch": "2", flag: value}
+        rc = main(["bench", "--variants", "csa", "--m", "4", "--layers", "1",
+                   "--out-dir", str(tmp_path / "bench")] + [a for kv in args.items() for a in kv])
+        assert rc == 2
+        assert f"{flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
 
 class TestCorpusInfo:

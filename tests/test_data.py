@@ -23,6 +23,10 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="download"):
             load_corpus(tmp_path / "missing.txt")
 
+    def test_directory(self, tmp_path):
+        with pytest.raises(CorpusError, match="cannot read"):
+            load_corpus(tmp_path)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "c.txt"
         f.write_text("")

@@ -5,7 +5,7 @@ import pytest
 
 from qisa_lab.attention import VARIANTS
 from qisa_lab.errors import CheckpointError, ConfigError, ContextOverflowError, ContractError
-from qisa_lab.model import LanguageModel, ModelConfig, model_forward, total_param_count
+from qisa_lab.model import LanguageModel, ModelConfig
 from qisa_lab.qsim import (
     AnsatzParams,
     HeadObservables,
@@ -51,7 +51,7 @@ class TestConfig:
 class TestForward:
     def test_single_token_shape(self):
         model = LanguageModel(tiny_config())
-        logits = model_forward(np.array([3]), model)
+        logits = model.forward(np.array([3]))
         assert logits.shape == (1, 11)
         assert np.isfinite(logits.data).all()
 
@@ -146,7 +146,7 @@ class TestParamCounts:
         m, v, l = cfg.m, cfg.vocab_size, cfg.l
         per_block = 2 * m + (3 * m * m + m * m) + 2 * m + (m * 4 * m + 4 * m + 4 * m * m + m)
         expected = v * m + l * m + 2 * per_block + 2 * m + m * v
-        assert total_param_count(model) == expected
+        assert model.total_param_count() == expected
 
 
 class TestCheckpoint:

@@ -14,9 +14,7 @@ from qisa_lab.qsim import (
     ObservableCache,
     PauliString,
     amplitude_encode,
-    cached_expectation,
     cnot_chain,
-    congruence_expectation,
     expectation,
     hea_unitary,
     hea_unitary_tensors,
@@ -25,7 +23,45 @@ from qisa_lab.qsim import (
     save_cache,
     select_observables,
 )
-from qisa_lab.tensor import Tensor
+from qisa_lab.tensor import Tensor, matmul
+
+# reference oracles: one expectation at a time, against which the batched
+# feature op and the cache are checked
+
+
+def congruence_expectation(x, w: Tensor, obs: PauliString | str) -> Tensor:
+    """<x| W^T P W |x> as a differentiable scalar.
+
+    Requires an even-Y observable: odd-Y Pauli matrices are purely
+    imaginary, which makes the quadratic form over real vectors vanish
+    identically, so requesting one is a configuration mistake.
+    """
+    p = obs if isinstance(obs, PauliString) else PauliString(obs)
+    if p.y_parity == 1:
+        raise ConfigError(f"observable {p.word} has odd Y-parity; its congruence expectation is always 0")
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    m = Tensor(np.real(pauli_matrix(p)))
+    y = matmul(x.reshape(1, -1), w.T)
+    return matmul(matmul(y, m), y.T).reshape(())
+
+
+def cached_expectation(
+    x: np.ndarray,
+    cache: ObservableCache,
+    layer: int,
+    head: int,
+    k: int,
+    *,
+    params_hash: str | None = None,
+) -> float:
+    """<x|P'|x> from the cache: one matrix-vector and one dot product."""
+    if params_hash is not None:
+        cache.check_hash(params_hash)
+    entry = cache.entry(layer, head)
+    mat = entry.value[0, k]
+    x = np.asarray(x, dtype=np.complex128)
+    return float(np.real(np.vdot(x, mat @ x)))
+
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 

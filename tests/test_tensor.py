@@ -20,7 +20,6 @@ from qisa_lab.tensor import (
     reshape,
     softmax_rows,
     swap_last,
-    take_index,
     transpose,
 )
 
@@ -254,12 +253,6 @@ class TestElementwiseGradients:
         ids = np.array([1, 1, 4, 0])
         w = rng.normal(size=(4, 3))
         g, n = grad_of(lambda t: (gather_rows(t, ids) * Tensor(w)).sum(), table0)
-        assert rel_err(g, n) < 1e-6
-
-    def test_take_index_gradient(self, rng):
-        x0 = rng.normal(size=(2, 4, 3))
-        w = rng.normal(size=(2, 3))
-        g, n = grad_of(lambda t: (take_index(t, 2, axis=1) * Tensor(w)).sum(), x0)
         assert rel_err(g, n) < 1e-6
 
     def test_swap_last_gradient(self, rng):

@@ -91,6 +91,20 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"learning_rate": 1e-3})
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", "x"), ("epochs", True), ("batch", 2.0), ("eval_every", -1), ("seed", "0"),
+        ("lr", "x"), ("lr", True), ("lr", 0), ("lr", float("inf")), ("eps", None), ("eps", -1e-8),
+        ("grad_clip", 0.0), ("grad_clip", "1"), ("betas", [0.9]), ("betas", [0.9, 1.0]),
+        ("betas", "ab"), ("betas", [False, 0.9]),
+    ])
+    def test_bad_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig.from_dict({field: value})
+
+    def test_accepts_integer_rates_and_no_clipping(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "eps": 1, "grad_clip": None, "betas": [0, 0.5]})
+        assert cfg.betas == (0, 0.5) and cfg.grad_clip is None
+
 
 class TestDivergenceGuard:
     def test_trips_after_patience(self):
@@ -190,6 +204,27 @@ class TestEvaluateCE:
         plain = evaluate_ce(model, ids, batch=7)
         cached = evaluate_ce(model, ids, batch=7, cache=model.build_observable_cache())
         assert cached == pytest.approx(plain, abs=1e-10)
+
+    def test_stale_cache_raises(self, rng):
+        model = tiny_model(vocab_size=9, variant="qisa")
+        cache = model.build_observable_cache()
+        model.blocks[0].attn.wv_tilde[0].data[0, 0] += 1.0
+        with pytest.raises(CacheMissError):
+            evaluate_ce(model, rng.integers(0, 9, size=200), cache=cache)
+
+    def test_cache_checked_once_per_call(self, rng, monkeypatch):
+        """evaluate_ce and evaluate_cer_wer hash the parameters once per
+        call, not once per forward."""
+        model = tiny_model(vocab_size=9, variant="qisa_a")
+        cache = model.build_observable_cache()
+        calls = []
+        real_hash = LanguageModel.parameter_hash
+        monkeypatch.setattr(LanguageModel, "parameter_hash", lambda self: calls.append(1) or real_hash(self))
+        ids = rng.integers(0, 9, size=200)
+        evaluate_ce(model, ids, batch=3, cache=cache)  # eight forwards
+        assert len(calls) == 1
+        evaluate_cer_wer(model, ids, Vocab(tuple("abcdefghi")), n_windows=2, gen_chars=5, cache=cache)
+        assert len(calls) == 2
 
     def test_std_matches_recomputation(self, rng):
         model = tiny_model(vocab_size=9)
