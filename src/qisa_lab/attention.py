@@ -18,13 +18,15 @@ causal mask, and is differentiable through the tape engine.
 Every quantum feature is a real quadratic form x^T A_k x of the
 L2-normalized token x, so the five quantum variants share one feature
 path.  Each weights class builds its coefficients A_k = S^T P~_k S per
-role (value, query, key) and head: S = [Re U; Im U] of the ansatz unitary
+head and role (value, query, key): S = [Re U; Im U] of the ansatz unitary
 with P~_k the real form of the Pauli matrix P_k, which makes
-A_k = Re(U^dag P_k U); for qisa, S = W~ and P~_k = Re(P_k).  The tape op
-:func:`quadratic_features` turns tokens and coefficients into features.
-Training builds A on the tape; cached inference takes the same A frozen
-from an evolved-observable cache, so the two differ only in where A
-comes from.
+A_k = Re(U^dag P_k U); for qisa, S = W~ and P~_k = Re(P_k).  Every stack
+has the layout [L, K, m, m]: L = 1 when one map serves every position,
+L = l for per-position qsann.  The tape op :func:`quadratic_features`
+turns tokens and coefficients into features.  A forward takes the
+layer's coefficients as an argument: built on the tape for training,
+under ``no_grad`` for inference, or frozen in an evolved-observable
+cache, so the paths differ only in where A comes from.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ class AttentionSpec:
     l: int
     p: int = 1
     v2_kernel: str = "dot"  # "dot" or "gaussian" for qsann_v2
-    obs_mode: str | None = None  # override the per-variant observable set
 
     def __post_init__(self):
         self.variant = canonical_variant(self.variant)
@@ -109,14 +110,9 @@ class AttentionSpec:
     def uses_wo(self) -> bool:
         return self.variant in ("csa", "qisa", "qisa_a")
 
-    @property
-    def value_obs_mode(self) -> str:
-        if self.obs_mode is not None:
-            return self.obs_mode
-        return "real_congruence" if self.variant == "qisa" else "unitary"
-
     def value_observables(self) -> list[PauliString]:
-        return select_observables(self.n_qubits, self.h, self.value_obs_mode)
+        mode = "real_congruence" if self.variant == "qisa" else "unitary"
+        return select_observables(self.n_qubits, self.h, mode)
 
     def qk_observables(self) -> list[PauliString]:
         return select_observables(self.n_qubits, self.m, "unitary")
@@ -173,23 +169,10 @@ def _lift(observables: list[PauliString], real: bool = False) -> Tensor:
 
 
 def congruence(s: Tensor, lifted: Tensor) -> Tensor:
-    """Coefficients A_k = S^T P~_k S.
-
-    ``s`` is [d, m], giving A of shape [K, m, m], or a per-position stack
-    [L, d, m], giving [L, K, m, m].
-    """
-    if s.ndim == 3:
-        s = reshape(s, (s.shape[0], 1) + s.shape[1:])
+    """Coefficients A_k = S^T P~_k S of shape [L, K, m, m] for a stack of L
+    maps ``s`` of shape [L, d, m]."""
+    s = reshape(s, (s.shape[0], 1) + s.shape[1:])
     return matmul(matmul(swap_last(s), lifted), s)
-
-
-def _ansatz_rows(theta: Tensor | list[Tensor], spec: AttentionSpec) -> Tensor:
-    """S = [Re U; Im U] of the ansatz unitary: [2m, m] for one angle tensor,
-    [L, 2m, m] for a list of L, all built by one op."""
-    if isinstance(theta, Tensor):
-        rows = hea_unitary_tensors([theta], spec.n_qubits, spec.p)
-        return reshape(rows, rows.shape[1:])
-    return hea_unitary_tensors(theta, spec.n_qubits, spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +199,10 @@ class AttentionWeights:
     def param_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
 
-    def coefficients(self, head: int) -> dict[str, Tensor]:
-        """Feature coefficients A of one head by role ("query", "key", "value"):
-        [K, m, m] when one stack serves every position, else [l, K, m, m]."""
-        raise ConfigError(f"the {self.spec.variant} variant has no quadratic-form features")
+    def coefficients(self) -> list[dict[str, Tensor]] | None:
+        """The layer's feature coefficients: per head, A by role ("query",
+        "key", "value"), each [L, K, m, m].  None for the classical variant."""
+        return None
 
 
 class CSAWeights(AttentionWeights):
@@ -261,8 +244,8 @@ class QISAWeights(AttentionWeights):
         out.append(("wo", self.wo))
         return out
 
-    def coefficients(self, head):
-        return {"value": congruence(self.wv_tilde[head], self._lifted)}
+    def coefficients(self):
+        return [{"value": congruence(reshape(w, (1,) + w.shape), self._lifted)} for w in self.wv_tilde]
 
 
 class QISAAWeights(AttentionWeights):
@@ -284,8 +267,9 @@ class QISAAWeights(AttentionWeights):
         out.append(("wo", self.wo))
         return out
 
-    def coefficients(self, head):
-        return {"value": congruence(_ansatz_rows(self.theta[head], self.spec), self._lifted)}
+    def coefficients(self):
+        n, p = self.spec.n_qubits, self.spec.p
+        return [{"value": congruence(hea_unitary_tensors([t], n, p), self._lifted)} for t in self.theta]
 
 
 class QSANNSharedWeights(AttentionWeights):
@@ -306,6 +290,11 @@ class QSANNSharedWeights(AttentionWeights):
     def _new_angles(self, rng):
         return _angles(rng, self.spec)
 
+    @staticmethod
+    def _angle_sets(theta) -> list[Tensor]:
+        """One role's angle tensors of one head, as the ansatz op takes them."""
+        return [theta]
+
     def named_parameters(self):
         out = []
         for j in range(self.spec.H):
@@ -314,10 +303,11 @@ class QSANNSharedWeights(AttentionWeights):
                     (f"head{j}.theta_v", self.theta_v[j])]
         return out
 
-    def coefficients(self, head):
-        thetas = {"query": self.theta_q[head], "key": self.theta_k[head], "value": self.theta_v[head]}
-        return {role: congruence(_ansatz_rows(t, self.spec), self._lifted[role])
-                for role, t in thetas.items()}
+    def coefficients(self):
+        n, p = self.spec.n_qubits, self.spec.p
+        return [{role: congruence(hea_unitary_tensors(self._angle_sets(t), n, p), self._lifted[role])
+                 for role, t in (("query", tq), ("key", tk), ("value", tv))}
+                for tq, tk, tv in zip(self.theta_q, self.theta_k, self.theta_v)]
 
 
 class QSANNWeights(QSANNSharedWeights):
@@ -325,6 +315,10 @@ class QSANNWeights(QSANNSharedWeights):
 
     def _new_angles(self, rng):
         return [_angles(rng, self.spec) for _ in range(self.spec.l)]
+
+    @staticmethod
+    def _angle_sets(theta):
+        return theta
 
     def named_parameters(self):
         out = []
@@ -368,9 +362,9 @@ def _forms(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 def batched_quadratic_forms(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Real quadratic forms x^T Re(M_k) x for row-stacked real x.
 
-    ``mats`` is [K, m, m], shared by every row of ``x`` ([..., m]; the
-    result is [..., K]), or [L, K, m, m] against ``x`` of shape [B, l, m]
-    with L >= l, where position i uses ``mats[i]``.  For Hermitian M_k
+    ``mats`` is [L, K, m, m].  With L = 1 its stack is shared by every row
+    of ``x`` ([..., m]; the result is [..., K]); otherwise ``x`` is
+    [B, l, m] with l <= L, and position i uses ``mats[i]``.  For Hermitian M_k
     this equals the expectation <x|M_k|x>: Im(M_k) is then antisymmetric
     and drops out of a real quadratic form.
 
@@ -383,27 +377,26 @@ def batched_quadratic_forms(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
     far more than the product itself.
     """
     stacked = _side_by_side(np.real(mats))
-    if mats.ndim == 4:
-        xt = np.swapaxes(x, 0, 1)
-        return np.swapaxes(_forms(xt, stacked[: len(xt)]), 0, 1)
-    return _forms(x, stacked)
+    if len(stacked) == 1:
+        return _forms(x, stacked[0])
+    xt = np.swapaxes(x, 0, 1)
+    return np.swapaxes(_forms(xt, stacked[: len(xt)]), 0, 1)
 
 
 def quadratic_features(x: Tensor, a: Tensor) -> Tensor:
     """Tape op: out[b, i, k] = x_bi^T A_k x_bi for tokens x of shape [B, l, m].
 
-    ``a`` is [K, m, m], one stack shared by every position, or
-    [L, K, m, m] with L >= l, where position i uses A[i].  The forward is
+    ``a`` is [L, K, m, m]: with L = 1 one stack serves every position,
+    otherwise L >= l and position i uses A[i].  The forward is
     :func:`batched_quadratic_forms`; the backward is two GEMMs,
     dx = sum_k g_k (A_k + A_k^T) x and dA_k = sum g_k x x^T.
     """
-    per_position = a.ndim == 4
-    if (x.ndim != 3 or a.ndim not in (3, 4) or a.shape[-2:] != (x.shape[-1],) * 2
-            or (per_position and a.shape[0] < x.shape[1])):
+    if (x.ndim != 3 or a.ndim != 4 or a.shape[-2:] != (x.shape[-1],) * 2
+            or 1 < a.shape[0] < x.shape[1]):
         raise ShapeError(f"coefficients of shape {a.shape} do not fit tokens of shape {x.shape}")
-    l = x.shape[1]
-    coeffs = a.data[:l] if per_position else a.data
-    data = batched_quadratic_forms(x.data, coeffs)
+    l, per_position = x.shape[1], a.shape[0] > 1
+    data = batched_quadratic_forms(x.data, a.data[:l])
+    coeffs = a.data[:l] if per_position else a.data[0]
 
     def backward_fn(g):
         xs, gs = x.data, g
@@ -423,7 +416,7 @@ def quadratic_features(x: Tensor, a: Tensor) -> Tensor:
                 full[:l] = da
                 _accum(a, full)
             else:
-                _accum(a, da.sum(axis=0))
+                _accum(a, da.sum(axis=0)[None])
 
     return _make(data, (x, a), backward_fn)
 
@@ -476,7 +469,7 @@ def _vector_gaussian_attention(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor
 # ---------------------------------------------------------------------------
 
 
-def csa_forward(x: Tensor, w: CSAWeights, mask: np.ndarray) -> Tensor:
+def csa_forward(x: Tensor, w: CSAWeights, mask: np.ndarray, coeffs: None = None) -> Tensor:
     x3, squeeze = _ensure_3d(x)
     scale = 1.0 / math.sqrt(w.spec.h)
     heads = []
@@ -490,7 +483,7 @@ def csa_forward(x: Tensor, w: CSAWeights, mask: np.ndarray) -> Tensor:
 
 
 def qisa_forward(x: Tensor, w: QISAWeights | QISAAWeights, mask: np.ndarray,
-                 cache: list[dict[str, Tensor]] | None = None) -> Tensor:
+                 coeffs: list[dict[str, Tensor]]) -> Tensor:
     """qisa and qisa_a: dot-product attention over quadratic-form values, then W_o."""
     x3, squeeze = _ensure_3d(x)
     scale = 1.0 / math.sqrt(w.spec.h)
@@ -499,23 +492,21 @@ def qisa_forward(x: Tensor, w: QISAWeights | QISAAWeights, mask: np.ndarray,
     for j in range(w.spec.H):
         q = matmul(x3, w.wq[j])
         k = matmul(x3, w.wk[j])
-        coeffs = w.coefficients(j) if cache is None else cache[j]
-        v = quadratic_features(xn, coeffs["value"])
+        v = quadratic_features(xn, coeffs[j]["value"])
         heads.append(matmul(_dot_attention(q, k, scale, mask), v))
     out = matmul(concat(heads, axis=-1), w.wo)
     return reshape(out, out.shape[1:]) if squeeze else out
 
 
 def qsann_forward(x: Tensor, w: QSANNSharedWeights, mask: np.ndarray,
-                  cache: list[dict[str, Tensor]] | None = None) -> Tensor:
+                  coeffs: list[dict[str, Tensor]]) -> Tensor:
     """qsann, qsann_v1 and qsann_v2: circuit queries, keys and values."""
     x3, squeeze = _ensure_3d(x)
     spec = w.spec
     xn = normalize_rows(x3, zero_fallback=True)
     heads = []
     for j in range(spec.H):
-        coeffs = w.coefficients(j) if cache is None else cache[j]
-        q, k, v = (quadratic_features(xn, coeffs[role]) for role in ("query", "key", "value"))
+        q, k, v = (quadratic_features(xn, coeffs[j][role]) for role in ("query", "key", "value"))
         if spec.variant != "qsann_v2":  # one score per token: Gaussian kernel
             attn = gaussian_attention(reshape(q, q.shape[:-1]), reshape(k, k.shape[:-1]), mask)
         elif spec.v2_kernel == "dot":
@@ -538,10 +529,8 @@ _FORWARDS = {
 
 
 def attention_forward(x: Tensor, w: AttentionWeights, mask: np.ndarray,
-                      cache: list[dict[str, Tensor]] | None = None) -> Tensor:
-    """Dispatch to the forward of the weights' variant.  ``cache`` holds the
-    layer's frozen coefficients A per head, else they are built on the tape."""
-    fn = _FORWARDS[w.spec.variant]
-    if w.spec.variant == "csa":
-        return fn(x, w, mask)
-    return fn(x, w, mask, cache=cache)
+                      coeffs: list[dict[str, Tensor]] | None) -> Tensor:
+    """Dispatch to the forward of the weights' variant.  ``coeffs`` is the
+    layer's coefficients A per head, as :meth:`AttentionWeights.coefficients`
+    gives them (built on the tape, under ``no_grad`` or frozen in a cache)."""
+    return _FORWARDS[w.spec.variant](x, w, mask, coeffs)

@@ -1,14 +1,13 @@
 """Command-line entry point: train, eval, generate, params, cache, bench.
 
-Heavy imports happen inside the handlers so that QISA_LAB_THREADS can
-cap the BLAS thread pools before numpy is loaded.
+The package's ``__init__`` applies QISA_LAB_THREADS, the BLAS thread
+cap, before numpy loads, so it holds for every command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import time
@@ -16,17 +15,6 @@ from pathlib import Path
 
 from .errors import CheckpointError, ConfigError, QisaLabError
 
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("QISA_LAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
 
 DEFAULT_TRAIN = {"epochs": 1, "batch": 256, "lr": 3e-3, "betas": [0.9, 0.999],
                  "eps": 1e-8, "grad_clip": 1.0, "eval_every": 50, "seed": 0}
@@ -327,10 +315,8 @@ def cmd_cache(args) -> int:
     cache = model.build_observable_cache()
     out = Path(args.out) if args.out else Path(str(args.checkpoint) + ".cache")
     save_cache(cache, out)
-    n_mats = sum(e.value.shape[0] * e.value.shape[1] +
-                 (e.query.shape[0] * e.query.shape[1] if e.query is not None else 0) +
-                 (e.key.shape[0] * e.key.shape[1] if e.key is not None else 0)
-                 for e in cache.evolved.values())
+    n_mats = sum(len(a) * a.shape[1] for e in cache.evolved.values()
+                 for a in vars(e).values() if a is not None)
     print(f"cached {n_mats} evolved observables ({cache.kind}) to {out}")
     return 0
 
@@ -376,7 +362,7 @@ def cmd_bench(args) -> int:
 
         infer_phases = {"infer": infer_step}
         if variant != "csa":
-            cache = model.cached_coefficients(model.build_observable_cache())
+            cache = model.coefficients(model.build_observable_cache())
 
             def cached_step():
                 with no_grad():

@@ -92,8 +92,8 @@ class Block:
         self.mlp_w2 = Tensor(rng.normal(0.0, 0.02, (hidden, m)), requires_grad=True)
         self.mlp_b2 = Tensor(np.zeros(m), requires_grad=True)
 
-    def forward(self, x: Tensor, mask: np.ndarray, cache: list[dict[str, Tensor]] | None) -> Tensor:
-        a = attention_forward(layer_norm(x, self.ln1_gain, self.ln1_bias), self.attn, mask, cache=cache)
+    def forward(self, x: Tensor, mask: np.ndarray, coeffs: list[dict[str, Tensor]] | None) -> Tensor:
+        a = attention_forward(layer_norm(x, self.ln1_gain, self.ln1_bias), self.attn, mask, coeffs)
         x = x + a
         h = gelu(matmul(layer_norm(x, self.ln2_gain, self.ln2_bias), self.mlp_w1) + self.mlp_b1)
         return x + (matmul(h, self.mlp_w2) + self.mlp_b2)
@@ -123,10 +123,10 @@ class LanguageModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, ids, cache: ObservableCache | list[list[dict[str, Tensor]]] | None = None,
-                training: bool = False) -> Tensor:
+    def forward(self, ids, cache: ObservableCache | list | None = None, training: bool = False) -> Tensor:
         """Next-token logits for ids of shape [T] or [B, T].  ``cache`` is an
-        observable cache, checked on this call, or :meth:`cached_coefficients`'s table."""
+        observable cache, checked on this call, or a :meth:`coefficients`
+        table; without either the table is built on this call, on the tape."""
         ids = np.asarray(ids)
         squeeze = ids.ndim == 1
         if squeeze:
@@ -140,8 +140,7 @@ class LanguageModel:
             raise ConfigError("empty token sequence")
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ContractError(f"token id outside [0, {self.config.vocab_size})")
-        if isinstance(cache, ObservableCache):
-            cache = self.cached_coefficients(cache)
+        table = cache if isinstance(cache, list) else self.coefficients(cache)
 
         m = self.config.m
         tok = reshape(gather_rows(self.tok_emb, ids.reshape(-1)), (b, t, m))
@@ -150,8 +149,8 @@ class LanguageModel:
         if training and self.config.dropout > 0:
             x = dropout(x, self.config.dropout, self._dropout_rng)
         mask = causal_mask(t)
-        for layer, block in enumerate(self.blocks):
-            x = block.forward(x, mask, None if cache is None else cache[layer])
+        for block, coeffs in zip(self.blocks, table):
+            x = block.forward(x, mask, coeffs)
         x = layer_norm(x, self.lnf_gain, self.lnf_bias)
         logits = matmul(x, self.lm_head)
         return reshape(logits, (t, self.config.vocab_size)) if squeeze else logits
@@ -254,25 +253,28 @@ class LanguageModel:
 
     # -- evolved-observable cache ---------------------------------------------
 
-    def cached_coefficients(self, cache: ObservableCache) -> list[list[dict[str, Tensor]]]:
-        """The cache's coefficients A by layer, head and role as constant tensors,
-        after one check against the parameters; ``forward`` takes them as its cache."""
+    def coefficients(self, cache: ObservableCache | None = None) -> list:
+        """The coefficient table that ``forward`` takes: per layer, the heads'
+        feature coefficients A by role, each [L, K, m, m] (None per layer for
+        csa).  Without a cache it is built from the weights, on the tape
+        unless under ``no_grad``; with one it holds the cache's frozen A,
+        after one check of the cache against the parameters."""
+        if cache is None:
+            return [block.attn.coefficients() for block in self.blocks]
         cache.check_hash(self.parameter_hash())
-        return [[{role: Tensor(a) for role, a in cache.entry(layer, head).coefficients().items()}
+        return [[{role: Tensor(a) for role, a in vars(cache.entry(layer, head)).items() if a is not None}
                  for head in range(self.config.H)] for layer in range(self.config.n_layers)]
 
     def build_observable_cache(self) -> ObservableCache:
-        """Freeze every head's feature coefficients A, the same ones the
-        uncached forward builds on the tape, into an observable cache."""
+        """Freeze the coefficient table, built under ``no_grad``, into an
+        observable cache."""
         spec = self.config.attention_spec()
         if spec.variant == "csa":
             raise ConfigError("the classical variant has no observables to cache")
-        entries: dict[tuple[int, int], HeadObservables] = {}
         with no_grad():
-            for layer, block in enumerate(self.blocks):
-                for head in range(spec.H):
-                    coeffs = block.attn.coefficients(head)
-                    entries[(layer, head)] = HeadObservables(**{r: a.data for r, a in coeffs.items()})
+            table = self.coefficients()
+        entries = {(layer, head): HeadObservables(**{role: a.data for role, a in coeffs.items()})
+                   for layer, heads in enumerate(table) for head, coeffs in enumerate(heads)}
         return ObservableCache(
             kind="congruence" if spec.variant == "qisa" else "ansatz",
             n=spec.n_qubits,

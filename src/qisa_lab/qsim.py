@@ -286,8 +286,8 @@ class HeadObservables:
     Each array holds the real coefficients A_k = Re(U^dag P_k U) (for
     qisa, W^T Re(P_k) W) of shape [instances, n_obs, d, d]; instances is 1
     when the head shares one map across tokens and equals the context
-    length for the per-position variant.  A shared stack may be given as
-    [n_obs, d, d].  The arrays are stored as read-only copies.
+    length for the per-position variant.  The arrays are stored as
+    read-only copies.
     """
 
     value: np.ndarray
@@ -298,15 +298,9 @@ class HeadObservables:
         for role in _ROLES:
             a = getattr(self, role)
             if a is not None:
-                a = np.array(a, ndmin=4)
+                a = np.array(a)
                 a.flags.writeable = False
                 object.__setattr__(self, role, a)
-
-    def coefficients(self) -> dict[str, np.ndarray]:
-        """Each role's stack as the feature op takes it: [n_obs, d, d] when
-        one stack serves every position, else [instances, n_obs, d, d]."""
-        return {role: a[0] if len(a) == 1 else a
-                for role in _ROLES if (a := getattr(self, role)) is not None}
 
 
 @dataclass(frozen=True)

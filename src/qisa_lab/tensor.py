@@ -375,7 +375,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if t.shape != (n,):
         raise ShapeError(f"targets must have shape ({n},)")
     if t.size and (t.min() < 0 or t.max() >= v):
-        raise IndexError(f"target id outside [0, {v})")
+        raise ContractError(f"target id outside [0, {v})")
     x = logits.data
     hi = x.max(axis=-1, keepdims=True)
     shifted = x - hi

@@ -204,9 +204,9 @@ def evaluate_ce(model: LanguageModel, test_ids: np.ndarray, l: int | None = None
     starts = [i * span for i in range(len(test_ids) // span)]
     if not starts:
         raise InsufficientDataError(f"test split of {len(test_ids)} ids has no full {span}-id window")
-    coeffs = None if cache is None else model.cached_coefficients(cache)
     losses = []
     with no_grad():
+        coeffs = model.coefficients(cache)
         for lo in range(0, len(starts), batch):
             chunk = starts[lo : lo + batch]
             inputs = np.stack([test_ids[s : s + l] for s in chunk])
@@ -237,11 +237,11 @@ def _generate_batch(model: LanguageModel, prompts: np.ndarray, n_chars: int,
     l = model.config.l
     if prompts.shape[1] > l:
         raise ContractError(f"prompt of length {prompts.shape[1]} exceeds context size {l}")
-    coeffs = None if cache is None else model.cached_coefficients(cache)
     rng = np.random.default_rng(seed)
     seq = prompts.copy()
     generated = []
     with no_grad():
+        coeffs = model.coefficients(cache)
         for _ in range(n_chars):
             window = seq[:, -l:]
             logits = model.forward(window, cache=coeffs).data[:, -1, :]

@@ -6,6 +6,7 @@ from qisa_lab.attention import (
     VARIANTS,
     AttentionSpec,
     _dot_attention,
+    _lift,
     attention_forward,
     batched_quadratic_forms,
     build_attention_weights,
@@ -34,10 +35,15 @@ def make_weights(variant, m=4, H=1, l=8, p=1, seed=0, **kw):
     return build_attention_weights(spec, np.random.default_rng(seed))
 
 
+def attend(x, w, mask):
+    """One attention forward with the layer's coefficients built on the tape."""
+    return attention_forward(x, w, mask, w.coefficients())
+
+
 def features(w, x, role="value", head=0):
     """One head's features of tokens x [B, l, m] on the training path."""
     xn = normalize_rows(Tensor(x), zero_fallback=True)
-    return quadratic_features(xn, w.coefficients(head)[role]).data
+    return quadratic_features(xn, w.coefficients()[head][role]).data
 
 
 class TestSpec:
@@ -82,7 +88,7 @@ class TestCSA:
     def test_single_token_analytic(self, rng):
         w = make_weights("csa", m=4, H=2, l=8)
         x = rng.normal(size=(1, 4))
-        out = attention_forward(Tensor(x), w, causal_mask(1)).data
+        out = attend(Tensor(x), w, causal_mask(1)).data
         heads = [x @ w.wv[j].data for j in range(2)]
         expect = np.concatenate(heads, axis=-1) @ w.wo.data
         np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -99,14 +105,14 @@ class TestCSA:
         x1 = rng.normal(size=(4, 4))
         x2 = x1.copy()
         x2[3] = rng.normal(size=4)
-        o1 = attention_forward(Tensor(x1), w, causal_mask(4)).data
-        o2 = attention_forward(Tensor(x2), w, causal_mask(4)).data
+        o1 = attend(Tensor(x1), w, causal_mask(4)).data
+        o2 = attend(Tensor(x2), w, causal_mask(4)).data
         np.testing.assert_allclose(o1[:3], o2[:3], atol=1e-12)
 
     def test_shape_mismatch(self, rng):
         w = make_weights("csa", m=4, H=1, l=4)
         with pytest.raises(ShapeError):
-            attention_forward(Tensor(rng.normal(size=(4, 5))), w, causal_mask(4))
+            attend(Tensor(rng.normal(size=(4, 5))), w, causal_mask(4))
 
 
 class TestQisaValue:
@@ -153,7 +159,7 @@ class TestQISA:
     def test_constant_values_give_constant_rows(self, rng):
         w = make_weights("qisa", m=4, H=1, l=4)
         x = np.tile(rng.normal(size=4), (4, 1))
-        out = attention_forward(Tensor(x), w, causal_mask(4)).data
+        out = attend(Tensor(x), w, causal_mask(4)).data
         np.testing.assert_allclose(out, np.tile(out[0], (4, 1)), atol=1e-12)
 
     def test_causal_independence(self, rng):
@@ -161,8 +167,8 @@ class TestQISA:
         x1 = rng.normal(size=(4, 4))
         x2 = x1.copy()
         x2[2:] = rng.normal(size=(2, 4))
-        o1 = attention_forward(Tensor(x1), w, causal_mask(4)).data
-        o2 = attention_forward(Tensor(x2), w, causal_mask(4)).data
+        o1 = attend(Tensor(x1), w, causal_mask(4)).data
+        o2 = attend(Tensor(x2), w, causal_mask(4)).data
         np.testing.assert_allclose(o1[:2], o2[:2], atol=1e-12)
 
 
@@ -203,10 +209,10 @@ class TestQuadraticFeatures:
     @pytest.mark.parametrize("per_position", [False, True])
     def test_forward_matches_einsum(self, per_position, rng):
         x = rng.normal(size=(3, 5, 4))
-        a = rng.normal(size=(6, 2, 4, 4) if per_position else (2, 4, 4))
+        a = rng.normal(size=(6 if per_position else 1, 2, 4, 4))
         got = quadratic_features(Tensor(x), Tensor(a)).data
         expect = (np.einsum("bli,lkij,blj->blk", x, a[:5], x) if per_position
-                  else np.einsum("bli,kij,blj->blk", x, a, x))
+                  else np.einsum("bli,kij,blj->blk", x, a[0], x))
         assert np.abs(got - expect).max() < 1e-12
         assert np.abs(batched_quadratic_forms(x, a) - expect).max() < 1e-12
 
@@ -214,7 +220,7 @@ class TestQuadraticFeatures:
     def test_gradients_match_finite_differences(self, per_position, rng):
         # a non-symmetric A, and one more position stack than tokens use
         x0 = rng.normal(size=(2, 3, 4))
-        a0 = rng.normal(size=(4, 2, 4, 4) if per_position else (2, 4, 4))
+        a0 = rng.normal(size=(4 if per_position else 1, 2, 4, 4))
         weights = rng.normal(size=(2, 3, 2))
 
         def loss(x, a):
@@ -234,7 +240,9 @@ class TestQuadraticFeatures:
         with pytest.raises(ShapeError):
             quadratic_features(x, Tensor(np.zeros((4, 2, 4, 4))))  # 4 stacks for 5 positions
         with pytest.raises(ShapeError):
-            quadratic_features(x, Tensor(np.zeros((2, 2, 2))))
+            quadratic_features(x, Tensor(np.zeros((1, 2, 2, 2))))
+        with pytest.raises(ShapeError):
+            quadratic_features(x, Tensor(np.zeros((2, 4, 4))))  # no stack axis
 
 
 class TestGaussianAttention:
@@ -277,7 +285,7 @@ class TestQSANNFamily:
     def test_values_bounded(self, rng):
         w = make_weights("qsann", m=4, H=1, l=4)
         x = rng.normal(size=(4, 4)) * 3
-        out = attention_forward(Tensor(x), w, causal_mask(4)).data
+        out = attend(Tensor(x), w, causal_mask(4)).data
         # output rows are convex combinations of bounded expectation vectors
         assert np.abs(out).max() <= 1.0 + 1e-12
 
@@ -287,8 +295,8 @@ class TestQSANNFamily:
             x1 = rng.normal(size=(4, 4))
             x2 = x1.copy()
             x2[3] = rng.normal(size=4)
-            o1 = attention_forward(Tensor(x1), w, causal_mask(4)).data
-            o2 = attention_forward(Tensor(x2), w, causal_mask(4)).data
+            o1 = attend(Tensor(x1), w, causal_mask(4)).data
+            o2 = attend(Tensor(x2), w, causal_mask(4)).data
             np.testing.assert_allclose(o1[:3], o2[:3], atol=1e-12, err_msg=variant)
 
     def test_qsann_equals_v1_with_tied_positions(self, rng):
@@ -299,8 +307,8 @@ class TestQSANNFamily:
             per_pos.theta_k[0][i].data[:] = v1.theta_k[0].data
             per_pos.theta_v[0][i].data[:] = v1.theta_v[0].data
         x = Tensor(rng.normal(size=(4, 4)))
-        o1 = attention_forward(x, v1, causal_mask(4)).data
-        o2 = attention_forward(x, per_pos, causal_mask(4)).data
+        o1 = attend(x, v1, causal_mask(4)).data
+        o2 = attend(x, per_pos, causal_mask(4)).data
         np.testing.assert_allclose(o1, o2, atol=1e-12)
 
     def test_v1_shared_circuit_features_position_independent(self, rng):
@@ -338,12 +346,12 @@ class TestQSANNFamily:
         dot = make_weights("qsann_v2", m=4, H=1, l=4, seed=5)
         gauss = make_weights("qsann_v2", m=4, H=1, l=4, seed=5, v2_kernel="gaussian")
         x = Tensor(rng.normal(size=(4, 4)))
-        o_dot = attention_forward(x, dot, causal_mask(4)).data
-        o_gauss = attention_forward(x, gauss, causal_mask(4)).data
+        o_dot = attend(x, dot, causal_mask(4)).data
+        o_gauss = attend(x, gauss, causal_mask(4)).data
         assert np.abs(o_dot - o_gauss).max() > 1e-8  # kernels genuinely differ
         x2 = x.data.copy()
         x2[3] = rng.normal(size=4)
-        o2 = attention_forward(Tensor(x2), gauss, causal_mask(4)).data
+        o2 = attend(Tensor(x2), gauss, causal_mask(4)).data
         np.testing.assert_allclose(o_gauss[:3], o2[:3], atol=1e-12)
 
 
@@ -384,8 +392,8 @@ class TestCausalitySuite:
         for i in (0, 3, 6):
             x2 = x1.copy()
             x2[i + 1 :] = rng.normal(size=(7 - i, 4))
-            o1 = attention_forward(Tensor(x1), w, causal_mask(8)).data
-            o2 = attention_forward(Tensor(x2), w, causal_mask(8)).data
+            o1 = attend(Tensor(x1), w, causal_mask(8)).data
+            o2 = attend(Tensor(x2), w, causal_mask(8)).data
             assert np.abs(o1[: i + 1] - o2[: i + 1]).max() < 1e-12
 
 
@@ -397,11 +405,11 @@ class TestEndToEndGradients:
         x0 = rng.normal(size=(4, 4))
 
         xt = Tensor(x0.copy(), requires_grad=True)
-        loss = attention_forward(xt, w, mask).sum()
+        loss = attend(xt, w, mask).sum()
         loss.backward()
 
         def loss_value():
-            return attention_forward(Tensor(x0), w, mask).sum().item()
+            return attend(Tensor(x0), w, mask).sum().item()
 
         for name, t in [("x", xt)] + w.named_parameters():
             analytic = t.grad
@@ -432,9 +440,11 @@ class TestQisaBridge:
         u = hea_unitary(AnsatzParams(theta))
         assert np.abs(u.imag).max() < 1e-12
 
-        spec_a = AttentionSpec("qisa_a", m=4, H=1, l=4, p=2, obs_mode="real_congruence")
+        spec_a = AttentionSpec("qisa_a", m=4, H=1, l=4, p=2)
         wa = build_attention_weights(spec_a, np.random.default_rng(7))
         wa.theta[0].data[:] = theta
+        wa.value_obs = select_observables(2, 4, "real_congruence")
+        wa._lifted = _lift(wa.value_obs)
         wq = build_attention_weights(AttentionSpec("qisa", m=4, H=1, l=4), np.random.default_rng(7))
         wq.wv_tilde[0].data[:] = u.real
         wq.wq[0].data[:] = wa.wq[0].data
@@ -442,6 +452,6 @@ class TestQisaBridge:
         wq.wo.data[:] = wa.wo.data
 
         x = Tensor(rng.normal(size=(4, 4)))
-        out_a = attention_forward(x, wa, causal_mask(4)).data
-        out_q = attention_forward(x, wq, causal_mask(4)).data
+        out_a = attend(x, wa, causal_mask(4)).data
+        out_q = attend(x, wq, causal_mask(4)).data
         np.testing.assert_allclose(out_a, out_q, atol=1e-10)

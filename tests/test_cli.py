@@ -135,7 +135,11 @@ class TestEvalCommand:
         assert rc == 0
         assert (tmp_path / "m.json").exists()
 
-    def test_eval_with_cache_matches_plain_eval(self, tmp_path, tiny_config):
+    @pytest.mark.parametrize("variant", ["qisa", "qsann", "qsann_v2"])
+    def test_eval_with_cache_matches_plain_eval(self, tmp_path, tiny_config, variant):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["model"]["variant"] = variant
+        tiny_config.write_text(json.dumps(cfg))
         out_dir = run_train(tmp_path, tiny_config)
         cache_path = tmp_path / "obs.cache"
         assert main(["cache", "--checkpoint", str(out_dir / "checkpoint"),
@@ -499,17 +503,25 @@ class TestCorpusInfo:
 
 
 class TestThreadCap:
-    def test_env_var_propagates_to_blas_pools(self, monkeypatch):
+    def test_env_var_propagates_to_blas_pools(self):
+        """QISA_LAB_THREADS=1 leaves a fresh process that imports the CLI and
+        runs a GEMM with one thread: the BLAS pool was capped before it loaded."""
         import os
+        import subprocess
+        import sys
 
-        from qisa_lab.cli import _apply_thread_cap
-
-        monkeypatch.setenv("QISA_LAB_THREADS", "2")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        _apply_thread_cap()
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        if not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs /proc/self/task and at least 2 CPUs")
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_NUM_THREADS") and k != "VECLIB_MAXIMUM_THREADS"}
+        env["QISA_LAB_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                             env.get("PYTHONPATH", "")])
+        code = ("import os, qisa_lab.cli, numpy as np; a = np.ones((256, 256)); a @ a; "
+                "print(len(os.listdir('/proc/self/task')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert int(out.stdout) == 1
 
 
 class TestArtifacts:

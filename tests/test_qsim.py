@@ -354,7 +354,7 @@ def build_cache(kind, per_head_maps, observables, *, variant="", p=0, built_from
     entries = {}
     for key, mat in per_head_maps.items():
         s = np.vstack([mat.real, mat.imag]) if kind == "ansatz" else mat
-        entries[key] = HeadObservables(value=congruence(Tensor(s), lifted).data)
+        entries[key] = HeadObservables(value=congruence(Tensor(s[None]), lifted).data)
     return ObservableCache(kind=kind, n=observables[0].n, p=p, variant=variant, built_from=built_from,
                            observables=tuple(o.word for o in observables),
                            evolved=MappingProxyType(entries))
@@ -362,15 +362,15 @@ def build_cache(kind, per_head_maps, observables, *, variant="", p=0, built_from
 
 def _assert_batched_forms_match_cache(cache, rng):
     """batched_quadratic_forms on [l, m] and [B, l, m] vs per-entry cached_expectation."""
-    mats = cache.entry(0, 0).value[0]
-    m = mats.shape[-1]
+    mats = cache.entry(0, 0).value
+    k_obs, m = mats.shape[1], mats.shape[-1]
     for shape in ((5, m), (3, 5, m)):
         x = rng.normal(size=shape)
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
         got = batched_quadratic_forms(x, mats)
-        assert got.shape == shape[:-1] + (len(mats),)
+        assert got.shape == shape[:-1] + (k_obs,)
         for idx in np.ndindex(*shape[:-1]):
-            for k in range(len(mats)):
+            for k in range(k_obs):
                 assert abs(got[idx + (k,)] - cached_expectation(x[idx], cache, 0, 0, k)) < 1e-12
 
 

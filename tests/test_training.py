@@ -214,17 +214,27 @@ class TestEvaluateCE:
 
     def test_cache_checked_once_per_call(self, rng, monkeypatch):
         """evaluate_ce and evaluate_cer_wer hash the parameters once per
-        call, not once per forward."""
-        model = tiny_model(vocab_size=9, variant="qisa_a")
+        call, not once per forward; without a cache they build the
+        coefficients once per call."""
+        model = tiny_model(vocab_size=9, variant="qisa_a", n_layers=2)
         cache = model.build_observable_cache()
-        calls = []
+        calls, builds = [], []
         real_hash = LanguageModel.parameter_hash
         monkeypatch.setattr(LanguageModel, "parameter_hash", lambda self: calls.append(1) or real_hash(self))
+        weights = type(model.blocks[0].attn)
+        real_coefficients = weights.coefficients
+        monkeypatch.setattr(weights, "coefficients", lambda self: builds.append(1) or real_coefficients(self))
         ids = rng.integers(0, 9, size=200)
+        vocab = Vocab(tuple("abcdefghi"))
         evaluate_ce(model, ids, batch=3, cache=cache)  # eight forwards
         assert len(calls) == 1
-        evaluate_cer_wer(model, ids, Vocab(tuple("abcdefghi")), n_windows=2, gen_chars=5, cache=cache)
+        evaluate_cer_wer(model, ids, vocab, n_windows=2, gen_chars=5, cache=cache)
         assert len(calls) == 2
+        assert not builds
+        evaluate_ce(model, ids, batch=3)  # one build per layer
+        assert len(builds) == 2
+        evaluate_cer_wer(model, ids, vocab, n_windows=2, gen_chars=5)
+        assert len(builds) == 4
 
     def test_std_matches_recomputation(self, rng):
         model = tiny_model(vocab_size=9)
@@ -285,6 +295,9 @@ class TestEvaluateCerWer:
 
         class Echo:
             config = ModelConfig(vocab_size=vocab.size, m=4, H=1, n_layers=1, l=8, variant="csa")
+
+            def coefficients(self, cache=None):
+                return None
 
             def forward(self, window, cache=None):
                 # emit logits that argmax to the character that truly follows
