@@ -1,32 +1,34 @@
-"""Six causal self-attention mechanisms behind one forward interface.
+"""Six causal self-attention mechanisms behind one forward.
 
 * csa      - scaled dot-product attention with a classical value layer
 * qisa     - value layer replaced by quadratic-form features
              <x|W^T P W|x> of Pauli observables over a trainable map W
 * qisa_a   - like qisa, but the map is a parameterized circuit acting
              on the amplitude-encoded token
-* qsann    - per-position circuits produce scalar queries/keys (first-
+* qsann    - per-position circuits give one-feature queries/keys (first-
              qubit Z) and observable-vector values; Gaussian-kernel
              attention; no output projection
 * qsann_v1 - qsann with one circuit triple shared across positions
 * qsann_v2 - qsann_v1 with vector-valued queries/keys built from
              observable expectations
 
-Every forward accepts [l, m] or batched [B, l, m] input and an additive
-causal mask, and is differentiable through the tape engine.
+One forward, :func:`attention_forward`, serves all six, which differ in
+three ways: a role (query, key, value) with coefficients in the layer's
+table reads quadratic features of the normalized token, any other role
+its linear map; ``AttentionSpec.kernel`` scores queries against keys
+(scaled dot product or Gaussian); ``AttentionSpec.uses_wo`` adds W_o.
+It takes [l, m] or [B, l, m] input and an additive causal mask.
 
 Every quantum feature is a real quadratic form x^T A_k x of the
-L2-normalized token x, so the five quantum variants share one feature
-path.  Each weights class builds its coefficients A_k = S^T P~_k S per
-head and role (value, query, key): S = [Re U; Im U] of the ansatz unitary
-with P~_k the real form of the Pauli matrix P_k, which makes
+L2-normalized token x.  Each weights class builds its coefficients
+A_k = S^T P~_k S per head and role: S = [Re U; Im U] of the ansatz
+unitary with P~_k the real form of the Pauli matrix P_k, which makes
 A_k = Re(U^dag P_k U); for qisa, S = W~ and P~_k = Re(P_k).  Every stack
 has the layout [L, K, m, m]: L = 1 when one map serves every position,
 L = l for per-position qsann.  The tape op :func:`quadratic_features`
-turns tokens and coefficients into features.  A forward takes the
-layer's coefficients as an argument: built on the tape for training,
-under ``no_grad`` for inference, or frozen in an evolved-observable
-cache, so the paths differ only in where A comes from.
+turns tokens and coefficients into features.  The table is built on the
+tape for training, under ``no_grad`` for inference, or frozen in an
+evolved-observable cache, so the paths differ only in where A comes from.
 """
 
 from __future__ import annotations
@@ -110,6 +112,13 @@ class AttentionSpec:
     def uses_wo(self) -> bool:
         return self.variant in ("csa", "qisa", "qisa_a")
 
+    @property
+    def kernel(self) -> str:
+        """How queries score keys: "dot" (scaled dot product) or "gaussian"."""
+        if self.variant == "qsann_v2":
+            return self.v2_kernel
+        return "gaussian" if self.variant in ("qsann", "qsann_v1") else "dot"
+
     def value_observables(self) -> list[PauliString]:
         mode = "real_congruence" if self.variant == "qisa" else "unitary"
         return select_observables(self.n_qubits, self.h, mode)
@@ -192,9 +201,14 @@ class AttentionWeights:
     """Base: holds an AttentionSpec and enumerates trainable tensors by name."""
 
     spec: AttentionSpec
+    head_params: tuple[str, ...] = ()  # names of the per-head parameter lists
+    # per-head linear maps [m, h] of the roles without coefficients, and W_o
+    wq = wk = wv = wo = None
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        raise NotImplementedError
+        out = [(f"head{j}.{name}", getattr(self, name)[j])
+               for j in range(self.spec.H) for name in self.head_params]
+        return out if self.wo is None else out + [("wo", self.wo)]
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
@@ -206,6 +220,8 @@ class AttentionWeights:
 
 
 class CSAWeights(AttentionWeights):
+    head_params = ("wq", "wk", "wv")
+
     def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
         self.spec = spec
         m, h = spec.m, spec.h
@@ -214,15 +230,10 @@ class CSAWeights(AttentionWeights):
         self.wv = [_normal(rng, (m, h)) for _ in range(spec.H)]
         self.wo = _normal(rng, (m, m))
 
-    def named_parameters(self):
-        out = []
-        for j in range(self.spec.H):
-            out += [(f"head{j}.wq", self.wq[j]), (f"head{j}.wk", self.wk[j]), (f"head{j}.wv", self.wv[j])]
-        out.append(("wo", self.wo))
-        return out
-
 
 class QISAWeights(AttentionWeights):
+    head_params = ("wq", "wk", "wv_tilde")
+
     def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
         self.spec = spec
         m, h = spec.m, spec.h
@@ -236,19 +247,13 @@ class QISAWeights(AttentionWeights):
         self.value_obs = spec.value_observables()
         self._lifted = _lift(self.value_obs, real=True)
 
-    def named_parameters(self):
-        out = []
-        for j in range(self.spec.H):
-            out += [(f"head{j}.wq", self.wq[j]), (f"head{j}.wk", self.wk[j]),
-                    (f"head{j}.wv_tilde", self.wv_tilde[j])]
-        out.append(("wo", self.wo))
-        return out
-
     def coefficients(self):
         return [{"value": congruence(reshape(w, (1,) + w.shape), self._lifted)} for w in self.wv_tilde]
 
 
 class QISAAWeights(AttentionWeights):
+    head_params = ("wq", "wk", "theta")
+
     def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
         self.spec = spec
         m, h = spec.m, spec.h
@@ -259,14 +264,6 @@ class QISAAWeights(AttentionWeights):
         self.value_obs = spec.value_observables()
         self._lifted = _lift(self.value_obs)
 
-    def named_parameters(self):
-        out = []
-        for j in range(self.spec.H):
-            out += [(f"head{j}.wq", self.wq[j]), (f"head{j}.wk", self.wk[j]),
-                    (f"head{j}.theta", self.theta[j])]
-        out.append(("wo", self.wo))
-        return out
-
     def coefficients(self):
         n, p = self.spec.n_qubits, self.spec.p
         return [{"value": congruence(hea_unitary_tensors([t], n, p), self._lifted)} for t in self.theta]
@@ -274,6 +271,8 @@ class QISAAWeights(AttentionWeights):
 
 class QSANNSharedWeights(AttentionWeights):
     """Shared circuit triple per head (qsann_v1 and qsann_v2)."""
+
+    head_params = ("theta_q", "theta_k", "theta_v")
 
     def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
         self.spec = spec
@@ -295,14 +294,6 @@ class QSANNSharedWeights(AttentionWeights):
         """One role's angle tensors of one head, as the ansatz op takes them."""
         return [theta]
 
-    def named_parameters(self):
-        out = []
-        for j in range(self.spec.H):
-            out += [(f"head{j}.theta_q", self.theta_q[j]),
-                    (f"head{j}.theta_k", self.theta_k[j]),
-                    (f"head{j}.theta_v", self.theta_v[j])]
-        return out
-
     def coefficients(self):
         n, p = self.spec.n_qubits, self.spec.p
         return [{role: congruence(hea_unitary_tensors(self._angle_sets(t), n, p), self._lifted[role])
@@ -321,13 +312,8 @@ class QSANNWeights(QSANNSharedWeights):
         return theta
 
     def named_parameters(self):
-        out = []
-        for j in range(self.spec.H):
-            for i in range(self.spec.l):
-                out += [(f"head{j}.pos{i}.theta_q", self.theta_q[j][i]),
-                        (f"head{j}.pos{i}.theta_k", self.theta_k[j][i]),
-                        (f"head{j}.pos{i}.theta_v", self.theta_v[j][i])]
-        return out
+        return [(f"head{j}.pos{i}.{name}", getattr(self, name)[j][i])
+                for j in range(self.spec.H) for i in range(self.spec.l) for name in self.head_params]
 
 
 def build_attention_weights(spec: AttentionSpec, rng: np.random.Generator) -> AttentionWeights:
@@ -422,16 +408,8 @@ def quadratic_features(x: Tensor, a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# forward helpers
+# kernels
 # ---------------------------------------------------------------------------
-
-
-def _ensure_3d(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 2:
-        return reshape(x, (1,) + x.shape), True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"attention input must be [l, m] or [B, l, m], got {x.shape}")
 
 
 def _dot_attention(q: Tensor, k: Tensor, scale: float, mask: np.ndarray) -> Tensor:
@@ -440,97 +418,51 @@ def _dot_attention(q: Tensor, k: Tensor, scale: float, mask: np.ndarray) -> Tens
 
 
 def gaussian_attention(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
-    """Kernel attention A_ij = exp(-(q_i - k_j)^2), normalized over j <= i.
+    """Kernel attention A_ij = exp(-||q_i - k_j||^2) over features [.., l, K],
+    normalized over j <= i.
 
     The additive mask zeroes the upper triangle before normalization, so
     each row is a distribution over the causal prefix.
     """
     if q.shape != k.shape:
-        raise ShapeError("query and key score vectors must have the same shape")
-    l = q.shape[-1]
-    qe = reshape(q, q.shape + (1,))
-    ke = reshape(k, k.shape[:-1] + (1, l))
-    diff = qe - ke
-    return softmax_rows((diff * diff) * -1.0 + Tensor(mask))
-
-
-def _vector_gaussian_attention(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
-    """Gaussian kernel on squared distances between q/k feature vectors."""
-    l, m = q.shape[-2], q.shape[-1]
-    qe = reshape(q, q.shape[:-2] + (l, 1, m))
-    ke = reshape(k, k.shape[:-2] + (1, l, m))
-    diff = qe - ke
-    sq = (diff * diff).sum(axis=-1)
-    return softmax_rows(sq * -1.0 + Tensor(mask))
+        raise ShapeError("query and key features must have the same shape")
+    l, d = q.shape[-2], q.shape[-1]
+    diff = reshape(q, q.shape[:-2] + (l, 1, d)) - reshape(k, k.shape[:-2] + (1, l, d))
+    return softmax_rows((diff * diff).sum(axis=-1) * -1.0 + Tensor(mask))
 
 
 # ---------------------------------------------------------------------------
-# variant forwards
+# the forward
 # ---------------------------------------------------------------------------
-
-
-def csa_forward(x: Tensor, w: CSAWeights, mask: np.ndarray, coeffs: None = None) -> Tensor:
-    x3, squeeze = _ensure_3d(x)
-    scale = 1.0 / math.sqrt(w.spec.h)
-    heads = []
-    for j in range(w.spec.H):
-        q = matmul(x3, w.wq[j])
-        k = matmul(x3, w.wk[j])
-        v = matmul(x3, w.wv[j])
-        heads.append(matmul(_dot_attention(q, k, scale, mask), v))
-    out = matmul(concat(heads, axis=-1), w.wo)
-    return reshape(out, out.shape[1:]) if squeeze else out
-
-
-def qisa_forward(x: Tensor, w: QISAWeights | QISAAWeights, mask: np.ndarray,
-                 coeffs: list[dict[str, Tensor]]) -> Tensor:
-    """qisa and qisa_a: dot-product attention over quadratic-form values, then W_o."""
-    x3, squeeze = _ensure_3d(x)
-    scale = 1.0 / math.sqrt(w.spec.h)
-    xn = normalize_rows(x3, zero_fallback=True)
-    heads = []
-    for j in range(w.spec.H):
-        q = matmul(x3, w.wq[j])
-        k = matmul(x3, w.wk[j])
-        v = quadratic_features(xn, coeffs[j]["value"])
-        heads.append(matmul(_dot_attention(q, k, scale, mask), v))
-    out = matmul(concat(heads, axis=-1), w.wo)
-    return reshape(out, out.shape[1:]) if squeeze else out
-
-
-def qsann_forward(x: Tensor, w: QSANNSharedWeights, mask: np.ndarray,
-                  coeffs: list[dict[str, Tensor]]) -> Tensor:
-    """qsann, qsann_v1 and qsann_v2: circuit queries, keys and values."""
-    x3, squeeze = _ensure_3d(x)
-    spec = w.spec
-    xn = normalize_rows(x3, zero_fallback=True)
-    heads = []
-    for j in range(spec.H):
-        q, k, v = (quadratic_features(xn, coeffs[j][role]) for role in ("query", "key", "value"))
-        if spec.variant != "qsann_v2":  # one score per token: Gaussian kernel
-            attn = gaussian_attention(reshape(q, q.shape[:-1]), reshape(k, k.shape[:-1]), mask)
-        elif spec.v2_kernel == "dot":
-            attn = _dot_attention(q, k, 1.0 / math.sqrt(spec.m), mask)
-        else:
-            attn = _vector_gaussian_attention(q, k, mask)
-        heads.append(matmul(attn, v))
-    out = concat(heads, axis=-1)
-    return reshape(out, out.shape[1:]) if squeeze else out
-
-
-_FORWARDS = {
-    "csa": csa_forward,
-    "qisa": qisa_forward,
-    "qisa_a": qisa_forward,
-    "qsann": qsann_forward,
-    "qsann_v1": qsann_forward,
-    "qsann_v2": qsann_forward,
-}
 
 
 def attention_forward(x: Tensor, w: AttentionWeights, mask: np.ndarray,
                       coeffs: list[dict[str, Tensor]] | None) -> Tensor:
-    """Dispatch to the forward of the weights' variant.  ``coeffs`` is the
-    layer's coefficients A per head, as :meth:`AttentionWeights.coefficients`
-    gives them (built on the tape, under ``no_grad`` or frozen in a cache)."""
-    return _FORWARDS[w.spec.variant](x, w, mask, coeffs)
+    """Causal self-attention of any variant.
+
+    ``coeffs`` is the layer's coefficients A per head, as
+    :meth:`AttentionWeights.coefficients` gives them (built on the tape,
+    under ``no_grad`` or frozen in a cache).  A role with an entry reads
+    the quadratic features of the normalized tokens; every other role
+    reads its linear map.  ``spec.kernel`` scores queries against keys,
+    and ``spec.uses_wo`` adds the output projection.
+    """
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"attention input must be [l, m] or [B, l, m], got {x.shape}")
+    x3 = reshape(x, (1,) + x.shape) if x.ndim == 2 else x
+    spec = w.spec
+    xn = None if coeffs is None else normalize_rows(x3, zero_fallback=True)
+    heads = []
+    for j in range(spec.H):
+        a = {} if coeffs is None else coeffs[j]
+        q, k, v = (quadratic_features(xn, a[role]) if role in a else matmul(x3, linear[j])
+                   for role, linear in (("query", w.wq), ("key", w.wk), ("value", w.wv)))
+        if spec.kernel == "dot":
+            attn = _dot_attention(q, k, 1.0 / math.sqrt(q.shape[-1]), mask)
+        else:
+            attn = gaussian_attention(q, k, mask)
+        heads.append(matmul(attn, v))
+    out = concat(heads, axis=-1)
+    if spec.uses_wo:
+        out = matmul(out, w.wo)
+    return reshape(out, out.shape[1:]) if x.ndim == 2 else out

@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import CheckpointError, ConfigError, QisaLabError
@@ -104,6 +105,16 @@ def _load_split(data_cfg: dict, vocab=None):
     return vocab, split_dataset(vocab.encode(text), split_fraction)
 
 
+@contextmanager
+def _output(flag: str, path):
+    """An output path that cannot be created or written ends as a
+    ConfigError that names the flag and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path} cannot be written: {exc.strerror or exc}") from exc
+
+
 def _build_id() -> str:
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True,
@@ -186,7 +197,8 @@ def cmd_train(args) -> int:
 
     cfg = load_config(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output("--out-dir", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -261,7 +273,7 @@ def cmd_eval(args) -> int:
     print(f"CER {cer_stats[0]:.4f} +- {cer_stats[1]:.4f}")
     print(f"WER {wer_stats[0]:.4f} +- {wer_stats[1]:.4f}")
     out = Path(args.out) if args.out else Path(str(args.checkpoint) + ".metrics.json")
-    with open(out, "w", encoding="utf-8") as fh:
+    with _output("--out", out), open(out, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=1)
     print(f"wrote {out}")
     return 0
@@ -314,7 +326,10 @@ def cmd_cache(args) -> int:
     model, _ = LanguageModel.load(args.checkpoint)
     cache = model.build_observable_cache()
     out = Path(args.out) if args.out else Path(str(args.checkpoint) + ".cache")
-    save_cache(cache, out)
+    try:
+        save_cache(cache, out)
+    except ConfigError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
     n_mats = sum(len(a) * a.shape[1] for e in cache.evolved.values()
                  for a in vars(e).values() if a is not None)
     print(f"cached {n_mats} evolved observables ({cache.kind}) to {out}")
@@ -335,7 +350,8 @@ def cmd_bench(args) -> int:
                           f"got --steps {args.steps}, --warmup {args.warmup}, --batch {args.batch}")
     variants = [v.strip() for v in args.variants.split(",")]
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output("--out-dir", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     rng = np.random.default_rng(0)
     vocab_size = 59

@@ -22,7 +22,7 @@ from .attention import (
     causal_mask,
     total_attention_params,
 )
-from .errors import CheckpointError, ConfigError, ContextOverflowError, ContractError
+from .errors import CacheMissError, CheckpointError, ConfigError, ContextOverflowError, ContractError
 from .qsim import HeadObservables, ObservableCache
 from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_grad, reshape
 
@@ -258,9 +258,13 @@ class LanguageModel:
         feature coefficients A by role, each [L, K, m, m] (None per layer for
         csa).  Without a cache it is built from the weights, on the tape
         unless under ``no_grad``; with one it holds the cache's frozen A,
-        after one check of the cache against the parameters."""
+        after one check of the cache against the variant and the parameters
+        (qsann_v1 and qsann_v2 of one seed share their parameters)."""
         if cache is None:
             return [block.attn.coefficients() for block in self.blocks]
+        if cache.variant != self.config.variant:
+            raise CacheMissError(f"cache was built for variant {cache.variant!r}, "
+                                 f"this model is {self.config.variant!r}")
         cache.check_hash(self.parameter_hash())
         return [[{role: Tensor(a) for role, a in vars(cache.entry(layer, head)).items() if a is not None}
                  for head in range(self.config.H)] for layer in range(self.config.n_layers)]

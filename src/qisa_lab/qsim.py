@@ -364,12 +364,15 @@ def save_cache(cache: ObservableCache, path) -> None:
         "observables": list(cache.observables),
         "entries": entries,
     }).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+    except OSError as exc:
+        raise ConfigError(f"cannot write observable cache {path}: {exc}") from exc
 
 
 def _check_fields(obj, fields: dict, bad) -> None:

@@ -271,6 +271,9 @@ def evaluate_cer_wer(
     continuation.  Means and stds are taken across windows.  With a
     ``cache`` the generation runs on the evolved-observable cache.
     """
+    for flag, count in (("--windows", n_windows), ("--gen-chars", gen_chars)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {count}")
     l = model.config.l
     span = l + gen_chars
     if len(test_ids) < span * n_windows:

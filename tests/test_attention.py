@@ -66,6 +66,13 @@ class TestSpec:
         with pytest.warns(UserWarning):
             AttentionSpec("qsann", m=4, H=2, l=8)
 
+    @pytest.mark.parametrize("v2_kernel", ["dot", "gaussian"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_kernel(self, variant, v2_kernel):
+        spec = AttentionSpec(variant, m=4, H=1, l=8, v2_kernel=v2_kernel)
+        expected = {"qsann": "gaussian", "qsann_v1": "gaussian", "qsann_v2": v2_kernel}.get(variant, "dot")
+        assert spec.kernel == expected
+
 
 class TestCausalMask:
     def test_length_one(self):
@@ -246,30 +253,42 @@ class TestQuadraticFeatures:
 
 
 class TestGaussianAttention:
+    """The kernel over [.., l, K] features; qsann and qsann_v1 score with K = 1."""
+
     def test_equal_scores_uniform_prefix(self):
-        q = Tensor(np.ones((1, 4)) * 0.3)
+        q = Tensor(np.ones((1, 4, 1)) * 0.3)
         a = gaussian_attention(q, q, causal_mask(4)).data[0]
         for i in range(4):
             np.testing.assert_allclose(a[i, : i + 1], np.full(i + 1, 1 / (i + 1)), atol=1e-12)
             np.testing.assert_allclose(a[i, i + 1 :], 0.0)
 
     def test_single_position(self):
-        a = gaussian_attention(Tensor([[2.0]]), Tensor([[5.0]]), causal_mask(1))
+        a = gaussian_attention(Tensor([[[2.0]]]), Tensor([[[5.0]]]), causal_mask(1))
         np.testing.assert_allclose(a.data, [[[1.0]]])
 
     def test_rows_sum_to_one(self, rng):
-        q = Tensor(rng.normal(size=(2, 6)))
-        k = Tensor(rng.normal(size=(2, 6)))
+        q = Tensor(rng.normal(size=(2, 6, 1)))
+        k = Tensor(rng.normal(size=(2, 6, 1)))
         a = gaussian_attention(q, k, causal_mask(6)).data
         np.testing.assert_allclose(a.sum(axis=-1), np.ones((2, 6)), atol=1e-12)
 
     def test_matches_kernel_formula(self, rng):
-        q = rng.normal(size=(1, 5))
-        k = rng.normal(size=(1, 5))
+        q = rng.normal(size=(1, 5, 1))
+        k = rng.normal(size=(1, 5, 1))
         a = gaussian_attention(Tensor(q), Tensor(k), causal_mask(5)).data[0]
         for i in range(5):
-            weights = np.exp(-((q[0, i] - k[0, : i + 1]) ** 2))
+            weights = np.exp(-((q[0, i, 0] - k[0, : i + 1, 0]) ** 2))
             np.testing.assert_allclose(a[i, : i + 1], weights / weights.sum(), atol=1e-12)
+
+    def test_matches_vector_kernel_formula(self, rng):
+        q = rng.normal(size=(2, 5, 3))
+        k = rng.normal(size=(2, 5, 3))
+        a = gaussian_attention(Tensor(q), Tensor(k), causal_mask(5)).data
+        for b in range(2):
+            for i in range(5):
+                weights = np.exp(-((q[b, i] - k[b, : i + 1]) ** 2).sum(axis=-1))
+                np.testing.assert_allclose(a[b, i, : i + 1], weights / weights.sum(), atol=1e-12)
+                np.testing.assert_allclose(a[b, i, i + 1 :], 0.0)
 
 
 class TestQSANNFamily:

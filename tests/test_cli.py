@@ -158,6 +158,36 @@ class TestEvalCommand:
         for key in ("cer_mean", "cer_std", "wer_mean", "wer_std"):
             assert cached[key] == plain[key], key
 
+    def test_cache_of_another_variant_exits_2(self, tmp_path, tiny_config, capsys):
+        """A qsann_v1 checkpoint relabelled qsann_v2 keeps its parameter hash,
+        so only the variant check keeps its v1 cache out."""
+        cfg = json.loads(tiny_config.read_text())
+        cfg["model"]["variant"] = "qsann_v1"
+        tiny_config.write_text(json.dumps(cfg))
+        out_dir = run_train(tmp_path, tiny_config)
+        ckpt = out_dir / "checkpoint"
+        assert main(["cache", "--checkpoint", str(ckpt), "--out", str(tmp_path / "v1.cache")]) == 0
+        manifest = json.loads((out_dir / "checkpoint.json").read_text())
+        manifest["config"]["variant"] = "qsann_v2"
+        (out_dir / "checkpoint.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--cache", str(tmp_path / "v1.cache"),
+                   "--windows", "2", "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "qsann_v1" in err and "qsann_v2" in err
+
+    @pytest.mark.parametrize("flag,value", [("--windows", "0"), ("--windows", "-1"),
+                                            ("--gen-chars", "0"), ("--gen-chars", "-2")])
+    def test_bad_counts(self, tmp_path, tiny_config, flag, value, capsys):
+        out_dir = run_train(tmp_path, tiny_config)
+        args = {"--windows": "2", "--gen-chars": "4", flag: value}
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint"), "--out", str(tmp_path / "m.json")]
+                  + [a for kv in args.items() for a in kv])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+
     def test_eval_deterministic(self, tmp_path, tiny_config):
         out_dir = run_train(tmp_path, tiny_config)
         corpus = json.loads(tiny_config.read_text())["data"]["corpus"]
@@ -491,6 +521,28 @@ class TestBenchCommand:
         assert rc == 2
         assert f"{flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
+
+
+class TestUnwritableOutput:
+    """An output path beneath a regular file cannot be created: each
+    command exits 2 and names the flag and the path."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out-dir", "{bad}", "--config", "{config}"],
+        ["bench", "--out-dir", "{bad}", "--variants", "csa", "--m", "4", "--layers", "1",
+         "--batch", "2", "--warmup", "0", "--steps", "1"],
+        ["eval", "--out", "{bad}", "--checkpoint", "{ckpt}", "--windows", "2", "--gen-chars", "4"],
+        ["cache", "--out", "{bad}", "--checkpoint", "{ckpt}"],
+    ], ids=["train", "bench", "eval", "cache"])
+    def test_exits_2(self, tmp_path, tiny_config, argv, capsys):
+        (tmp_path / "f").write_text("a regular file")
+        paths = {"bad": tmp_path / "f" / "x", "config": tiny_config}
+        if "{ckpt}" in argv:
+            paths["ckpt"] = run_train(tmp_path, tiny_config) / "checkpoint"
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert argv[1] in err and str(paths["bad"]) in err
 
 
 class TestCorpusInfo:

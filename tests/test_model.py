@@ -243,3 +243,14 @@ class TestObservableCacheIntegration:
         model.blocks[0].attn.wv_tilde[0].data[0, 0] += 1.0
         with pytest.raises(CacheMissError):
             model.forward(np.array([1, 2, 3]), cache=cache)
+
+    def test_cache_of_another_variant_rejected(self):
+        """qsann_v1 and qsann_v2 of one seed have the same parameters, so
+        only the cache's variant tells their caches apart."""
+        from qisa_lab.errors import CacheMissError
+
+        v1 = LanguageModel(tiny_config(variant="qsann_v1", seed=3))
+        v2 = LanguageModel(tiny_config(variant="qsann_v2", seed=3))
+        assert v1.parameter_hash() == v2.parameter_hash()
+        with pytest.raises(CacheMissError, match="'qsann_v1'.*'qsann_v2'"):
+            v2.forward(np.array([1, 2, 3]), cache=v1.build_observable_cache())

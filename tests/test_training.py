@@ -212,6 +212,12 @@ class TestEvaluateCE:
         with pytest.raises(CacheMissError):
             evaluate_ce(model, rng.integers(0, 9, size=200), cache=cache)
 
+    def test_cache_of_another_variant_raises(self, rng):
+        v1 = tiny_model(vocab_size=9, variant="qsann_v1")
+        v2 = tiny_model(vocab_size=9, variant="qsann_v2")
+        with pytest.raises(CacheMissError, match="qsann_v1.*qsann_v2"):
+            evaluate_ce(v2, rng.integers(0, 9, size=200), cache=v1.build_observable_cache())
+
     def test_cache_checked_once_per_call(self, rng, monkeypatch):
         """evaluate_ce and evaluate_cer_wer hash the parameters once per
         call, not once per forward; without a cache they build the
