@@ -20,10 +20,11 @@ its linear map; ``AttentionSpec.kernel`` scores queries against keys
 It takes [l, m] or [B, l, m] input and an additive causal mask.
 
 Every quantum feature is a real quadratic form x^T A_k x of the
-L2-normalized token x.  Each weights class builds its coefficients
-A_k = S^T P~_k S per head and role: S = [Re U; Im U] of the ansatz
-unitary with P~_k the real form of the Pauli matrix P_k, which makes
-A_k = Re(U^dag P_k U); for qisa, S = W~ and P~_k = Re(P_k).  Every stack
+L2-normalized token x.  ``ROLE_TABLE`` names each variant's source per
+role, and the weights build A_k = S^T P~_k S per head and feature role:
+S = [Re U; Im U] of the ansatz unitary with P~_k the real form of the
+Pauli matrix P_k, which makes A_k = Re(U^dag P_k U); for qisa, S = W~
+and P~_k = Re(P_k).  Every stack
 has the layout [L, K, m, m]: L = 1 when one map serves every position,
 L = l for per-position qsann.  The tape op :func:`quadratic_features`
 turns tokens and coefficients into features.  The table is built on the
@@ -119,13 +120,6 @@ class AttentionSpec:
             return self.v2_kernel
         return "gaussian" if self.variant in ("qsann", "qsann_v1") else "dot"
 
-    def value_observables(self) -> list[PauliString]:
-        mode = "real_congruence" if self.variant == "qisa" else "unitary"
-        return select_observables(self.n_qubits, self.h, mode)
-
-    def qk_observables(self) -> list[PauliString]:
-        return select_observables(self.n_qubits, self.m, "unitary")
-
 
 def causal_mask(l: int) -> np.ndarray:
     """Additive mask: 0 on and below the diagonal, -inf above."""
@@ -189,143 +183,88 @@ def congruence(s: Tensor, lifted: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _normal(rng, shape):
-    return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
-
-
-def _angles(rng, spec):
-    return Tensor(rng.uniform(-np.pi, np.pi, size=(spec.p, spec.n_qubits, 3)), requires_grad=True)
+# What a variant is: per role (query, key, value), in draw order, the name
+# of its parameter and its source.  Sources: "linear" an [m, h] map,
+# "matrix" qisa's real [m, m] map W~, "circuit" one ansatz angle set shared
+# by every position, "circuits" one angle set per position.
+ROLE_TABLE = {
+    "csa": (("wq", "linear"), ("wk", "linear"), ("wv", "linear")),
+    "qisa": (("wq", "linear"), ("wk", "linear"), ("wv_tilde", "matrix")),
+    "qisa_a": (("wq", "linear"), ("wk", "linear"), ("theta", "circuit")),
+    "qsann": (("theta_q", "circuits"), ("theta_k", "circuits"), ("theta_v", "circuits")),
+    "qsann_v1": (("theta_q", "circuit"), ("theta_k", "circuit"), ("theta_v", "circuit")),
+    "qsann_v2": (("theta_q", "circuit"), ("theta_k", "circuit"), ("theta_v", "circuit")),
+}
 
 
 class AttentionWeights:
-    """Base: holds an AttentionSpec and enumerates trainable tensors by name."""
+    """One layer's attention weights, laid out by the variant's row of
+    ``ROLE_TABLE``: per role a list of H per-head parameters (for
+    "circuits" each a list of l angle sets), then W_o when the spec uses it."""
 
-    spec: AttentionSpec
-    head_params: tuple[str, ...] = ()  # names of the per-head parameter lists
-    # per-head linear maps [m, h] of the roles without coefficients, and W_o
-    wq = wk = wv = wo = None
+    def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
+        self.spec = spec
+        self.roles = dict(zip(("query", "key", "value"), ROLE_TABLE[spec.variant]))  # role -> (name, source)
+        for name, source in self.roles.values():
+            setattr(self, name, [self._draw(source, rng) for _ in range(spec.H)])
+        self.wo = self._draw("wo", rng) if spec.uses_wo else None
+        # the roles read as quadratic features, with their observables; keys
+        # read the query observables, through the same constant stack
+        self.features = {role: source for role, (_, source) in self.roles.items() if source != "linear"}
+        obs = {role: self._observables(role, src) for role, src in self.features.items() if role != "key"}
+        self.value_obs, self.qk_obs = obs.get("value"), obs.get("query")
+        lifted = {role: _lift(o, real=self.features[role] == "matrix") for role, o in obs.items()}
+        self._lifted = {role: lifted["query" if role == "key" else role] for role in self.features}
+        # the [L, K, m, m] shape of each feature role's coefficient stack
+        self.feature_shapes = {role: (spec.l if source == "circuits" else 1, self._lifted[role].shape[0],
+                                      spec.m, spec.m) for role, source in self.features.items()}
+
+    def _draw(self, source, rng):  # one head's fresh parameter of a source, or W_o for "wo"
+        spec, m = self.spec, self.spec.m
+        if source == "circuits":
+            return [self._draw("circuit", rng) for _ in range(spec.l)]
+        if source == "circuit":
+            return Tensor(rng.uniform(-np.pi, np.pi, size=(spec.p, spec.n_qubits, 3)), requires_grad=True)
+        if source == "matrix":
+            # std 1/sqrt(m) keeps |W~ x| ~ 1 for unit tokens, so qisa's quadratic-form
+            # features start in the same [-1, 1] range the unitary variants produce
+            return Tensor(rng.normal(0.0, m**-0.5, (m, m)), requires_grad=True)
+        return Tensor(rng.normal(0.0, 0.02, (m, spec.h if source == "linear" else m)), requires_grad=True)
+
+    def _observables(self, role, source) -> list[PauliString]:
+        n = self.spec.n_qubits
+        if role == "value":  # a real map W~ needs the words with an even number of Y
+            return select_observables(n, self.spec.h, "real_congruence" if source == "matrix" else "unitary")
+        if self.spec.variant == "qsann_v2":  # vector queries/keys; the others one score, first-qubit Z
+            return select_observables(n, self.spec.m, "unitary")
+        return [PauliString("Z" + "I" * (n - 1))]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [(f"head{j}.{name}", getattr(self, name)[j])
-               for j in range(self.spec.H) for name in self.head_params]
+        per_position = "circuits" in self.features.values()  # qsann: head{j}.pos{i}.<name>
+        slots = [(f"pos{i}.", i) for i in range(self.spec.l)] if per_position else [("", None)]
+        out = [(f"head{j}.{pos}{name}", getattr(self, name)[j] if i is None else getattr(self, name)[j][i])
+               for j in range(self.spec.H) for pos, i in slots for name, _ in self.roles.values()]
         return out if self.wo is None else out + [("wo", self.wo)]
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
 
     def coefficients(self) -> list[dict[str, Tensor]] | None:
-        """The layer's feature coefficients: per head, A by role ("query",
-        "key", "value"), each [L, K, m, m].  None for the classical variant."""
-        return None
+        """Per head, the coefficients A [L, K, m, m] of each feature role; None for csa."""
+        if not self.features:
+            return None
+
+        def maps(source, t):  # the role's [L, d, m] stack of maps S
+            if source == "matrix":
+                return reshape(t, (1,) + t.shape)
+            return hea_unitary_tensors(t if source == "circuits" else [t], self.spec.n_qubits, self.spec.p)
+
+        return [{role: congruence(maps(source, getattr(self, name)[j]), self._lifted[role])
+                 for role, (name, source) in self.roles.items() if source != "linear"}
+                for j in range(self.spec.H)]
 
 
-class CSAWeights(AttentionWeights):
-    head_params = ("wq", "wk", "wv")
-
-    def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
-        self.spec = spec
-        m, h = spec.m, spec.h
-        self.wq = [_normal(rng, (m, h)) for _ in range(spec.H)]
-        self.wk = [_normal(rng, (m, h)) for _ in range(spec.H)]
-        self.wv = [_normal(rng, (m, h)) for _ in range(spec.H)]
-        self.wo = _normal(rng, (m, m))
-
-
-class QISAWeights(AttentionWeights):
-    head_params = ("wq", "wk", "wv_tilde")
-
-    def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
-        self.spec = spec
-        m, h = spec.m, spec.h
-        self.wq = [_normal(rng, (m, h)) for _ in range(spec.H)]
-        self.wk = [_normal(rng, (m, h)) for _ in range(spec.H)]
-        # std 1/sqrt(m) keeps |W x| ~ 1 for unit tokens, so the quadratic-form
-        # features start in the same [-1, 1] range the unitary variants produce
-        self.wv_tilde = [Tensor(rng.normal(0.0, m**-0.5, (m, m)), requires_grad=True)
-                         for _ in range(spec.H)]
-        self.wo = _normal(rng, (m, m))
-        self.value_obs = spec.value_observables()
-        self._lifted = _lift(self.value_obs, real=True)
-
-    def coefficients(self):
-        return [{"value": congruence(reshape(w, (1,) + w.shape), self._lifted)} for w in self.wv_tilde]
-
-
-class QISAAWeights(AttentionWeights):
-    head_params = ("wq", "wk", "theta")
-
-    def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
-        self.spec = spec
-        m, h = spec.m, spec.h
-        self.wq = [_normal(rng, (m, h)) for _ in range(spec.H)]
-        self.wk = [_normal(rng, (m, h)) for _ in range(spec.H)]
-        self.theta = [_angles(rng, spec) for _ in range(spec.H)]
-        self.wo = _normal(rng, (m, m))
-        self.value_obs = spec.value_observables()
-        self._lifted = _lift(self.value_obs)
-
-    def coefficients(self):
-        n, p = self.spec.n_qubits, self.spec.p
-        return [{"value": congruence(hea_unitary_tensors([t], n, p), self._lifted)} for t in self.theta]
-
-
-class QSANNSharedWeights(AttentionWeights):
-    """Shared circuit triple per head (qsann_v1 and qsann_v2)."""
-
-    head_params = ("theta_q", "theta_k", "theta_v")
-
-    def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.theta_q = [self._new_angles(rng) for _ in range(spec.H)]
-        self.theta_k = [self._new_angles(rng) for _ in range(spec.H)]
-        self.theta_v = [self._new_angles(rng) for _ in range(spec.H)]
-        self.value_obs = spec.value_observables()
-        # qsann_v2 reads vector queries/keys; the others one score, first-qubit Z
-        self.qk_obs = (spec.qk_observables() if spec.variant == "qsann_v2"
-                       else [PauliString("Z" + "I" * (spec.n_qubits - 1))])
-        qk = _lift(self.qk_obs)
-        self._lifted = {"query": qk, "key": qk, "value": _lift(self.value_obs)}
-
-    def _new_angles(self, rng):
-        return _angles(rng, self.spec)
-
-    @staticmethod
-    def _angle_sets(theta) -> list[Tensor]:
-        """One role's angle tensors of one head, as the ansatz op takes them."""
-        return [theta]
-
-    def coefficients(self):
-        n, p = self.spec.n_qubits, self.spec.p
-        return [{role: congruence(hea_unitary_tensors(self._angle_sets(t), n, p), self._lifted[role])
-                 for role, t in (("query", tq), ("key", tk), ("value", tv))}
-                for tq, tk, tv in zip(self.theta_q, self.theta_k, self.theta_v)]
-
-
-class QSANNWeights(QSANNSharedWeights):
-    """Original per-position form: one circuit triple per token slot."""
-
-    def _new_angles(self, rng):
-        return [_angles(rng, self.spec) for _ in range(self.spec.l)]
-
-    @staticmethod
-    def _angle_sets(theta):
-        return theta
-
-    def named_parameters(self):
-        return [(f"head{j}.pos{i}.{name}", getattr(self, name)[j][i])
-                for j in range(self.spec.H) for i in range(self.spec.l) for name in self.head_params]
-
-
-def build_attention_weights(spec: AttentionSpec, rng: np.random.Generator) -> AttentionWeights:
-    cls = {
-        "csa": CSAWeights,
-        "qisa": QISAWeights,
-        "qisa_a": QISAAWeights,
-        "qsann": QSANNWeights,
-        "qsann_v1": QSANNSharedWeights,
-        "qsann_v2": QSANNSharedWeights,
-    }[spec.variant]
-    return cls(spec, rng)
+build_attention_weights = AttentionWeights
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +394,8 @@ def attention_forward(x: Tensor, w: AttentionWeights, mask: np.ndarray,
     heads = []
     for j in range(spec.H):
         a = {} if coeffs is None else coeffs[j]
-        q, k, v = (quadratic_features(xn, a[role]) if role in a else matmul(x3, linear[j])
-                   for role, linear in (("query", w.wq), ("key", w.wk), ("value", w.wv)))
+        q, k, v = (quadratic_features(xn, a[role]) if role in a else matmul(x3, getattr(w, name)[j])
+                   for role, (name, _) in w.roles.items())
         if spec.kernel == "dot":
             attn = _dot_attention(q, k, 1.0 / math.sqrt(q.shape[-1]), mask)
         else:

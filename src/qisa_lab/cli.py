@@ -95,8 +95,8 @@ def _load_split(data_cfg: dict, vocab=None):
         raise ConfigError(f"data.corpus must be a path or \"bundled\", got {corpus!r}")
     if not is_number(fraction) or not 0 < fraction <= 1:
         raise ConfigError(f"data.corpus_fraction must be a number in (0, 1], got {fraction!r}")
-    if not is_number(split_fraction) or not 0 <= split_fraction < 1:
-        raise ConfigError(f"data.split_fraction must be a number in [0, 1), got {split_fraction!r}")
+    if not is_number(split_fraction) or not 0 < split_fraction < 1:
+        raise ConfigError(f"data.split_fraction must be a number in (0, 1), got {split_fraction!r}")
     text = load_corpus(BUNDLED_CORPUS if corpus == "bundled" else Path(corpus))
     if fraction < 1:
         text = text[: int(len(text) * fraction)]
@@ -209,6 +209,9 @@ def cmd_train(args) -> int:
     model_cfg["vocab_size"] = vocab.size
     model = LanguageModel(ModelConfig.from_dict(model_cfg))
     train_cfg = TrainConfig.from_dict(cfg["train"])
+    if len(split.test_ids) <= model.config.l:
+        raise ConfigError(f"data.split_fraction {split.split_fraction} leaves {len(split.test_ids)} test "
+                          f"ids, fewer than one {model.config.l + 1}-id window for the final evaluation")
     print(f"training variant={model.config.variant} m={model.config.m} H={model.config.H} "
           f"layers={model.config.n_layers} params={model.total_param_count()}")
 
@@ -237,17 +240,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .model import LanguageModel
-    from .training import evaluate_ce, evaluate_cer_wer
     from .data import Vocab
     from .qsim import load_cache
+    from .training import MetricsReport, evaluate_ce, evaluate_cer_wer
 
-    model, vocab_chars = LanguageModel.load(args.checkpoint)
-    if vocab_chars is None:
+    model, manifest = LanguageModel.read(args.checkpoint)
+    if manifest.get("vocab") is None:
         raise ConfigError("checkpoint has no vocabulary; evaluation needs one")
-    vocab = Vocab(tuple(vocab_chars))
-
-    with open(str(args.checkpoint) + ".json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    vocab = Vocab(tuple(manifest["vocab"]))
     extra = manifest.get("extra", {})
     data_cfg = extra.get("data", {}) if isinstance(extra, dict) else None
     if not isinstance(data_cfg, dict):
@@ -255,24 +255,23 @@ def cmd_eval(args) -> int:
     if args.corpus:
         data_cfg["corpus"] = args.corpus
     _, split = _load_split(data_cfg, vocab)
+    out = Path(args.out) if args.out else Path(str(args.checkpoint) + ".metrics.json")
+    existed = out.exists()
+    with _output("--out", out), open(out, "a", encoding="utf-8"):
+        pass  # an unwritable --out fails here, before the evaluation
+    if not existed:
+        out.unlink()
 
-    cache = None
-    if args.cache:
-        cache = load_cache(args.cache)
-
+    cache = load_cache(args.cache) if args.cache else None
     t0 = time.perf_counter()
     ce = evaluate_ce(model, split.test_ids, cache=cache)
     cer_stats, wer_stats = evaluate_cer_wer(model, split.test_ids, vocab, n_windows=args.windows,
                                             gen_chars=args.gen_chars, cache=cache)
     wall = time.perf_counter() - t0
-
-    from .training import MetricsReport
-
     report = MetricsReport(ce=ce, cer=cer_stats, wer=wer_stats, steps=0, wall_time=wall)
     print(f"CE  {ce[0]:.4f} +- {ce[1]:.4f}")
     print(f"CER {cer_stats[0]:.4f} +- {cer_stats[1]:.4f}")
     print(f"WER {wer_stats[0]:.4f} +- {wer_stats[1]:.4f}")
-    out = Path(args.out) if args.out else Path(str(args.checkpoint) + ".metrics.json")
     with _output("--out", out), open(out, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=1)
     print(f"wrote {out}")
@@ -377,7 +376,7 @@ def cmd_bench(args) -> int:
                 model.forward(ids)
 
         infer_phases = {"infer": infer_step}
-        if variant != "csa":
+        if model.blocks[0].attn.features:
             cache = model.coefficients(model.build_observable_cache())
 
             def cached_step():

@@ -17,8 +17,8 @@ import numpy as np
 from . import qsim
 from .attention import (
     AttentionSpec,
+    AttentionWeights,
     attention_forward,
-    build_attention_weights,
     causal_mask,
     total_attention_params,
 )
@@ -57,8 +57,7 @@ class ModelConfig:
         if not is_number(self.dropout) or not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"model.dropout must be a number in [0, 1), got {self.dropout!r}")
         # attention-level constraints (divisibility, power of two, kernel)
-        self.variant = AttentionSpec(self.variant, m=self.m, H=self.H, l=self.l,
-                                     p=self.p, v2_kernel=self.v2_kernel).variant
+        self.variant = self.attention_spec().variant
 
     def attention_spec(self) -> AttentionSpec:
         return AttentionSpec(self.variant, m=self.m, H=self.H, l=self.l,
@@ -83,7 +82,7 @@ class Block:
         m = spec.m
         self.ln1_gain = Tensor(np.ones(m), requires_grad=True)
         self.ln1_bias = Tensor(np.zeros(m), requires_grad=True)
-        self.attn = build_attention_weights(spec, rng)
+        self.attn = AttentionWeights(spec, rng)
         self.ln2_gain = Tensor(np.ones(m), requires_grad=True)
         self.ln2_bias = Tensor(np.zeros(m), requires_grad=True)
         hidden = 4 * m
@@ -210,6 +209,12 @@ class LanguageModel:
 
     @classmethod
     def load(cls, path) -> tuple["LanguageModel", list[str] | None]:
+        model, manifest = cls.read(path)
+        return model, manifest.get("vocab")
+
+    @classmethod
+    def read(cls, path) -> tuple["LanguageModel", dict]:
+        """The model of a checkpoint and its checked manifest."""
         path = str(path)
         try:
             with open(path + ".json", "r", encoding="utf-8") as fh:
@@ -249,7 +254,7 @@ class LanguageModel:
             offset += nbytes
         if offset != len(blob):
             raise CheckpointError("checkpoint blob has trailing bytes")
-        return model, manifest.get("vocab")
+        return model, manifest
 
     # -- evolved-observable cache ---------------------------------------------
 
@@ -257,34 +262,44 @@ class LanguageModel:
         """The coefficient table that ``forward`` takes: per layer, the heads'
         feature coefficients A by role, each [L, K, m, m] (None per layer for
         csa).  Without a cache it is built from the weights, on the tape
-        unless under ``no_grad``; with one it holds the cache's frozen A,
-        after one check of the cache against the variant and the parameters
-        (qsann_v1 and qsann_v2 of one seed share their parameters)."""
+        unless under ``no_grad``.  With one it holds the cache's frozen A,
+        after one check of its variant, its parameter hash (qsann_v1 and
+        qsann_v2 of one seed share parameters) and each entry's roles and shapes."""
         if cache is None:
             return [block.attn.coefficients() for block in self.blocks]
         if cache.variant != self.config.variant:
             raise CacheMissError(f"cache was built for variant {cache.variant!r}, "
                                  f"this model is {self.config.variant!r}")
         cache.check_hash(self.parameter_hash())
-        return [[{role: Tensor(a) for role, a in vars(cache.entry(layer, head)).items() if a is not None}
-                 for head in range(self.config.H)] for layer in range(self.config.n_layers)]
+        need = self.blocks[0].attn.feature_shapes
+
+        def frozen(layer, head):
+            entry = {role: a for role, a in vars(cache.entry(layer, head)).items() if a is not None}
+            for role in sorted(entry.keys() | need.keys()):
+                have = entry[role].shape if role in entry else "nothing"
+                if have != need.get(role, "nothing"):
+                    raise CacheMissError(f"cache layer {layer}, head {head}, role {role!r} holds {have}, "
+                                         f"this model needs {need.get(role, 'nothing')}")
+            return {role: Tensor(a) for role, a in entry.items()}
+
+        return [[frozen(layer, head) for head in range(self.config.H)]
+                for layer in range(self.config.n_layers)]
 
     def build_observable_cache(self) -> ObservableCache:
-        """Freeze the coefficient table, built under ``no_grad``, into an
-        observable cache."""
-        spec = self.config.attention_spec()
-        if spec.variant == "csa":
+        """Freeze the coefficient table, built under ``no_grad``, into an observable cache."""
+        spec, attn = self.config.attention_spec(), self.blocks[0].attn
+        if not attn.features:
             raise ConfigError("the classical variant has no observables to cache")
         with no_grad():
             table = self.coefficients()
         entries = {(layer, head): HeadObservables(**{role: a.data for role, a in coeffs.items()})
                    for layer, heads in enumerate(table) for head, coeffs in enumerate(heads)}
         return ObservableCache(
-            kind="congruence" if spec.variant == "qisa" else "ansatz",
+            kind="congruence" if "matrix" in attn.features.values() else "ansatz",
             n=spec.n_qubits,
             p=spec.p,
             variant=spec.variant,
             built_from=self.parameter_hash(),
-            observables=tuple(o.word for o in self.blocks[0].attn.value_obs),
+            observables=tuple(o.word for o in attn.value_obs),
             evolved=MappingProxyType(entries),
         )

@@ -463,7 +463,7 @@ class TestQisaBridge:
         wa = build_attention_weights(spec_a, np.random.default_rng(7))
         wa.theta[0].data[:] = theta
         wa.value_obs = select_observables(2, 4, "real_congruence")
-        wa._lifted = _lift(wa.value_obs)
+        wa._lifted = {"value": _lift(wa.value_obs)}
         wq = build_attention_weights(AttentionSpec("qisa", m=4, H=1, l=4), np.random.default_rng(7))
         wq.wv_tilde[0].data[:] = u.real
         wq.wq[0].data[:] = wa.wq[0].data

@@ -93,6 +93,18 @@ class TestTrainCommand:
         assert rc == 0
         assert (d1 / "loss.csv").read_text() == (tmp_path / "c" / "loss.csv").read_text()
 
+    @pytest.mark.parametrize("fraction", [0, 0.001], ids=["zero", "shorter-than-a-window"])
+    def test_split_without_a_test_window_refused_before_training(self, tmp_path, tiny_config, fraction,
+                                                                 capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["data"]["split_fraction"] = fraction
+        tiny_config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["train", "--config", str(tiny_config), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "data.split_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     def test_missing_variant_field(self, tmp_path, tiny_corpus):
         cfg = {"model": {"m": 4, "H": 1}, "data": {"corpus": str(tiny_corpus)}}
         path = tmp_path / "bad.json"
@@ -177,6 +189,33 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "qsann_v1" in err and "qsann_v2" in err
 
+    @pytest.mark.parametrize("variant,edit", [
+        ("qsann", lambda roles: {r: a[:1] for r, a in roles.items()}),
+        ("qisa", lambda roles: {**roles, "query": roles["value"], "key": roles["value"]}),
+    ], ids=["qsann-one-instance", "qisa-with-query-key"])
+    def test_cache_that_does_not_fit_exits_2(self, tmp_path, tiny_config, variant, edit, capsys):
+        """A QOC1 file edited so that its entries no longer fit the model
+        keeps its hash and variant; eval refuses it, naming the entry."""
+        from dataclasses import replace
+        from types import MappingProxyType
+
+        from qisa_lab.qsim import HeadObservables, load_cache, save_cache
+
+        cfg = json.loads(tiny_config.read_text())
+        cfg["model"]["variant"] = variant
+        tiny_config.write_text(json.dumps(cfg))
+        ckpt = run_train(tmp_path, tiny_config) / "checkpoint"
+        assert main(["cache", "--checkpoint", str(ckpt), "--out", str(tmp_path / "good.cache")]) == 0
+        cache = load_cache(tmp_path / "good.cache")
+        entries = {key: HeadObservables(**edit({r: a for r, a in vars(e).items() if a is not None}))
+                   for key, e in cache.evolved.items()}
+        save_cache(replace(cache, evolved=MappingProxyType(entries)), tmp_path / "edited.cache")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--cache", str(tmp_path / "edited.cache"),
+                   "--windows", "2", "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "layer 0, head 0, role 'key'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [("--windows", "0"), ("--windows", "-1"),
                                             ("--gen-chars", "0"), ("--gen-chars", "-2")])
     def test_bad_counts(self, tmp_path, tiny_config, flag, value, capsys):
@@ -187,6 +226,7 @@ class TestEvalCommand:
                   + [a for kv in args.items() for a in kv])
         assert rc == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()  # the early --out check leaves no file behind
 
     def test_eval_deterministic(self, tmp_path, tiny_config):
         out_dir = run_train(tmp_path, tiny_config)
@@ -541,8 +581,9 @@ class TestUnwritableOutput:
             paths["ckpt"] = run_train(tmp_path, tiny_config) / "checkpoint"
         capsys.readouterr()
         assert main([a.format(**paths) for a in argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert argv[1] in err and str(paths["bad"]) in err
+        assert not [line for line in out.splitlines() if line.startswith("CE")]  # refused before evaluating
 
 
 class TestCorpusInfo:

@@ -1,3 +1,4 @@
+import dataclasses
 from types import MappingProxyType
 
 import numpy as np
@@ -243,6 +244,27 @@ class TestObservableCacheIntegration:
         model.blocks[0].attn.wv_tilde[0].data[0, 0] += 1.0
         with pytest.raises(CacheMissError):
             model.forward(np.array([1, 2, 3]), cache=cache)
+
+    @pytest.mark.parametrize("variant,edit,role", [
+        ("qsann", lambda roles: {r: a[:1] for r, a in roles.items()}, "key"),  # one instance, not l
+        ("qisa", lambda roles: {**roles, "query": roles["value"], "key": roles["value"]}, "key"),
+        ("qisa_a", lambda roles: {"value": roles["value"][:, :1]}, "value"),
+        ("qsann_v2", lambda roles: {"value": roles["value"]}, "key"),
+    ], ids=["qsann-one-instance", "qisa-with-query-key", "qisa_a-fewer-observables", "qsann_v2-no-query-key"])
+    def test_cache_that_does_not_fit_rejected(self, variant, edit, role):
+        """An entry whose roles or [L, K, m, m] shapes differ from what the
+        weights build is refused, naming its layer, head and role, even
+        though its variant and parameter hash match."""
+        from qisa_lab.errors import CacheMissError
+
+        model = LanguageModel(tiny_config(variant=variant, m=8, H=2))
+        cache = model.build_observable_cache()
+        entries = dict(cache.evolved)
+        entries[(1, 1)] = HeadObservables(**edit({r: a for r, a in vars(entries[(1, 1)]).items()
+                                                  if a is not None}))
+        edited = dataclasses.replace(cache, evolved=MappingProxyType(entries))
+        with pytest.raises(CacheMissError, match=f"layer 1, head 1, role '{role}'"):
+            model.forward(np.array([1, 2, 3]), cache=edited)
 
     def test_cache_of_another_variant_rejected(self):
         """qsann_v1 and qsann_v2 of one seed have the same parameters, so
