@@ -304,17 +304,17 @@ def cmd_params(args) -> int:
         m, H, p, l = cfg.m, cfg.H, cfg.p, cfg.l
     else:
         m, H, p, l = args.m, args.heads, args.p, args.l
-    print(f"per-head and total attention parameter counts at m={m}, H={H}, p={p}, l={l}")
-    print(f"{'variant':<10} {'per head':>10} {'+output':>10} {'total':>10}")
     import warnings
 
-    for variant in VARIANTS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec = AttentionSpec(variant, m=m, H=H, l=l, p=p)
+    with warnings.catch_warnings():  # every spec is checked before the table starts
+        warnings.simplefilter("ignore")
+        specs = [AttentionSpec(variant, m=m, H=H, l=l, p=p) for variant in VARIANTS]
+    print(f"per-head and total attention parameter counts at m={m}, H={H}, p={p}, l={l}")
+    print(f"{'variant':<10} {'per head':>10} {'+output':>10} {'total':>10}")
+    for spec in specs:
         per_head = count_params(spec)
         wo = output_projection_params(spec)
-        print(f"{variant:<10} {per_head:>10} {wo:>10} {per_head * H + wo:>10}")
+        print(f"{spec.variant:<10} {per_head:>10} {wo:>10} {per_head * H + wo:>10}")
     return 0
 
 
@@ -329,8 +329,7 @@ def cmd_cache(args) -> int:
         save_cache(cache, out)
     except ConfigError as exc:
         raise ConfigError(f"--out: {exc}") from exc
-    n_mats = sum(len(a) * a.shape[1] for e in cache.evolved.values()
-                 for a in vars(e).values() if a is not None)
+    n_mats = sum(len(a) * a.shape[1] for roles in cache.evolved.values() for a in roles.values())
     print(f"cached {n_mats} evolved observables ({cache.kind}) to {out}")
     return 0
 

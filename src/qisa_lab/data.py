@@ -103,8 +103,3 @@ def batch_iter(ids: np.ndarray, l: int, batch: int, seed: int) -> Iterator[tuple
         offsets = rng.integers(0, len(ids) - l, size=batch)
         idx = offsets[:, None] + span
         yield ids[idx], ids[idx + 1]
-
-
-def window_at(ids: np.ndarray, offset: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (inputs, targets) pair of one window, for tests and evaluation."""
-    return ids[offset : offset + l], ids[offset + 1 : offset + l + 1]

@@ -23,7 +23,7 @@ from .attention import (
     total_attention_params,
 )
 from .errors import CacheMissError, CheckpointError, ConfigError, ContextOverflowError, ContractError
-from .qsim import HeadObservables, ObservableCache
+from .qsim import ObservableCache
 from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_grad, reshape
 
 CHECKPOINT_FORMAT = 1
@@ -270,11 +270,12 @@ class LanguageModel:
         if cache.variant != self.config.variant:
             raise CacheMissError(f"cache was built for variant {cache.variant!r}, "
                                  f"this model is {self.config.variant!r}")
-        cache.check_hash(self.parameter_hash())
+        if cache.built_from != self.parameter_hash():
+            raise CacheMissError("cache is stale: parameters changed since it was built")
         need = self.blocks[0].attn.feature_shapes
 
-        def frozen(layer, head):
-            entry = {role: a for role, a in vars(cache.entry(layer, head)).items() if a is not None}
+        def frozen(layer, head):  # a missing entry holds nothing
+            entry = cache.evolved.get((layer, head), {})
             for role in sorted(entry.keys() | need.keys()):
                 have = entry[role].shape if role in entry else "nothing"
                 if have != need.get(role, "nothing"):
@@ -292,7 +293,7 @@ class LanguageModel:
             raise ConfigError("the classical variant has no observables to cache")
         with no_grad():
             table = self.coefficients()
-        entries = {(layer, head): HeadObservables(**{role: a.data for role, a in coeffs.items()})
+        entries = {(layer, head): qsim.frozen_roles({role: a.data for role, a in coeffs.items()})
                    for layer, heads in enumerate(table) for head, coeffs in enumerate(heads)}
         return ObservableCache(
             kind="congruence" if "matrix" in attn.features.values() else "ansatz",

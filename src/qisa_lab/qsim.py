@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CacheMissError, ConfigError, ContractError, DegenerateTokenError
+from .errors import ConfigError, ContractError, DegenerateTokenError
 from .tensor import Tensor, _accum, _make, no_grad
 
 _PAULI_1Q = {
@@ -279,33 +279,26 @@ def expectation(state: np.ndarray, obs: np.ndarray) -> float:
 _ROLES = ("value", "query", "key")
 
 
-@dataclass(frozen=True)
-class HeadObservables:
-    """Evolved observables of one (layer, head): value plus optional q/k.
-
-    Each array holds the real coefficients A_k = Re(U^dag P_k U) (for
-    qisa, W^T Re(P_k) W) of shape [instances, n_obs, d, d]; instances is 1
-    when the head shares one map across tokens and equals the context
-    length for the per-position variant.  The arrays are stored as
-    read-only copies.
-    """
-
-    value: np.ndarray
-    query: np.ndarray | None = None
-    key: np.ndarray | None = None
-
-    def __post_init__(self):
-        for role in _ROLES:
-            a = getattr(self, role)
-            if a is not None:
-                a = np.array(a)
-                a.flags.writeable = False
-                object.__setattr__(self, role, a)
+def frozen_roles(roles: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """A read-only ``{role: A}`` of read-only copies of the given arrays."""
+    out = {}
+    for role, a in roles.items():
+        out[role] = np.array(a)
+        out[role].flags.writeable = False
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)
 class ObservableCache:
-    """Immutable map (layer, head) -> evolved observables."""
+    """Immutable map (layer, head) -> {role: A}, a frozen coefficient table.
+
+    Each A holds the real coefficients A_k = Re(U^dag P_k U) (for qisa,
+    W^T Re(P_k) W) of shape [instances, n_obs, d, d]; instances is 1 when
+    the head shares one map across tokens and equals the context length
+    for the per-position variant.  The roles are "value", plus "query"
+    and "key" for the qsann variants; :func:`frozen_roles` makes each
+    entry.  ``LanguageModel.coefficients`` decides whether a cache fits.
+    """
 
     kind: str  # "ansatz" (A = Re(U^dag P U)) or "congruence" (A = W^T Re(P) W)
     n: int
@@ -313,17 +306,7 @@ class ObservableCache:
     variant: str
     built_from: str
     observables: tuple[str, ...]
-    evolved: Mapping[tuple[int, int], HeadObservables]
-
-    def entry(self, layer: int, head: int) -> HeadObservables:
-        try:
-            return self.evolved[(layer, head)]
-        except KeyError:
-            raise CacheMissError(f"no cache entry for layer {layer}, head {head}") from None
-
-    def check_hash(self, current: str) -> None:
-        if current != self.built_from:
-            raise CacheMissError("cache is stale: parameters changed since it was built")
+    evolved: Mapping[tuple[int, int], Mapping[str, np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +328,9 @@ def save_cache(cache: ObservableCache, path) -> None:
     """Write the documented binary format: magic, JSON header, matrix blob."""
     entries = []
     blobs = []
-    for (layer, head) in sorted(cache.evolved):
-        ho = cache.evolved[(layer, head)]
-        for role in _ROLES:
-            arr = getattr(ho, role)
-            if arr is None:
-                continue
+    for (layer, head), roles in sorted(cache.evolved.items()):
+        for role in (r for r in _ROLES if r in roles):
+            arr = roles[role]
             inst, count, dim, _ = arr.shape
             entries.append({"layer": layer, "head": head, "role": role,
                             "instances": inst, "per_instance": count, "dim": dim})
@@ -454,5 +434,5 @@ def load_cache(path) -> ObservableCache:
         variant=header["variant"],
         built_from=header["parameter_hash"],
         observables=tuple(header["observables"]),
-        evolved=MappingProxyType({key: HeadObservables(**roles) for key, roles in parts.items()}),
+        evolved=MappingProxyType({key: frozen_roles(roles) for key, roles in parts.items()}),
     )

@@ -77,10 +77,6 @@ class Adam:
             v_hat = self.v[i] / (1 - self.b2**self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_params:
-            p.zero_grad()
-
 
 def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most ``max_norm``."""
@@ -180,7 +176,7 @@ def train(
             opt.step()
             rows.append((step, "train", "ce", value))
             if cfg.eval_every and step % cfg.eval_every == 0 and len(data.test_ids) > l:
-                mean, _ = evaluate_ce(model, data.test_ids, l)
+                mean, _ = evaluate_ce(model, data.test_ids)
                 rows.append((step, "test", "ce", mean))
             if log_every and step % log_every == 0:
                 log.info("step %d train ce %.4f", step, value)
@@ -188,7 +184,7 @@ def train(
     elapsed = time.perf_counter() - start
     log.info("trained %d steps in %.1fs", step, elapsed)
     if len(data.test_ids) > l:
-        mean, _ = evaluate_ce(model, data.test_ids, l)
+        mean, _ = evaluate_ce(model, data.test_ids)
         rows.append((step, "test", "ce", mean))
     if checkpoint_path is not None:
         model.save(checkpoint_path, vocab_chars=list(vocab.chars) if vocab else None,
@@ -196,10 +192,10 @@ def train(
     return model, rows
 
 
-def evaluate_ce(model: LanguageModel, test_ids: np.ndarray, l: int | None = None,
-                batch: int = 64, cache: ObservableCache | None = None) -> tuple[float, float]:
-    """Mean and std of next-token CE over non-overlapping test windows."""
-    l = l or model.config.l
+def evaluate_ce(model: LanguageModel, test_ids: np.ndarray, batch: int = 64,
+                cache: ObservableCache | None = None) -> tuple[float, float]:
+    """Mean and std of next-token CE over non-overlapping context-sized test windows."""
+    l = model.config.l
     span = l + 1
     starts = [i * span for i in range(len(test_ids) // span)]
     if not starts:
@@ -227,6 +223,8 @@ def generate(model: LanguageModel, prompt_ids, n_chars: int, mode: str = "greedy
         raise ContractError(f"n_chars must be >= 1, got {n_chars}")
     if mode not in ("greedy", "sample"):
         raise ConfigError(f"generation mode must be 'greedy' or 'sample', got {mode!r}")
+    if not 0 <= temperature < np.inf:  # also NaN
+        raise ConfigError(f"--temperature must be a finite number >= 0, got {temperature}")
     out = _generate_batch(model, np.asarray(prompt_ids)[None], n_chars, mode, temperature, seed)
     return out[0]
 

@@ -189,32 +189,36 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "qsann_v1" in err and "qsann_v2" in err
 
-    @pytest.mark.parametrize("variant,edit", [
-        ("qsann", lambda roles: {r: a[:1] for r, a in roles.items()}),
-        ("qisa", lambda roles: {**roles, "query": roles["value"], "key": roles["value"]}),
-    ], ids=["qsann-one-instance", "qisa-with-query-key"])
-    def test_cache_that_does_not_fit_exits_2(self, tmp_path, tiny_config, variant, edit, capsys):
+    @pytest.mark.parametrize("variant,edit,named", [
+        ("qsann", lambda entries: {key: {r: a[:1] for r, a in roles.items()} for key, roles in entries.items()},
+         "layer 0, head 0, role 'key'"),
+        ("qisa", lambda entries: {key: {**roles, "query": roles["value"], "key": roles["value"]}
+                                  for key, roles in entries.items()},
+         "layer 0, head 0, role 'key'"),
+        ("qisa", lambda entries: {key: roles for key, roles in entries.items() if key != (1, 1)},
+         "layer 1, head 1, role 'value'"),
+    ], ids=["qsann-one-instance", "qisa-with-query-key", "qisa-missing-entry"])
+    def test_cache_that_does_not_fit_exits_2(self, tmp_path, tiny_config, variant, edit, named, capsys):
         """A QOC1 file edited so that its entries no longer fit the model
         keeps its hash and variant; eval refuses it, naming the entry."""
         from dataclasses import replace
         from types import MappingProxyType
 
-        from qisa_lab.qsim import HeadObservables, load_cache, save_cache
+        from qisa_lab.qsim import load_cache, save_cache
 
         cfg = json.loads(tiny_config.read_text())
-        cfg["model"]["variant"] = variant
+        cfg["model"].update(variant=variant, n_layers=2, H=2)
         tiny_config.write_text(json.dumps(cfg))
         ckpt = run_train(tmp_path, tiny_config) / "checkpoint"
         assert main(["cache", "--checkpoint", str(ckpt), "--out", str(tmp_path / "good.cache")]) == 0
         cache = load_cache(tmp_path / "good.cache")
-        entries = {key: HeadObservables(**edit({r: a for r, a in vars(e).items() if a is not None}))
-                   for key, e in cache.evolved.items()}
+        entries = edit(cache.evolved)
         save_cache(replace(cache, evolved=MappingProxyType(entries)), tmp_path / "edited.cache")
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(ckpt), "--cache", str(tmp_path / "edited.cache"),
                    "--windows", "2", "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
         assert rc == 2
-        assert "layer 0, head 0, role 'key'" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--windows", "0"), ("--windows", "-1"),
                                             ("--gen-chars", "0"), ("--gen-chars", "-2")])
@@ -479,8 +483,34 @@ class TestGenerateCommand:
         assert out.startswith("the rose")
         assert len(out) == len("the rose") + 24
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_temperature(self, tmp_path, tiny_config, value, capsys):
+        out_dir = run_train(tmp_path, tiny_config)
+        capsys.readouterr()
+        rc = main(["generate", "--checkpoint", str(out_dir / "checkpoint"), "--prompt", "the",
+                   "--n-chars", "4", "--mode", "sample", "--temperature", value])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--temperature" in err
+
+    def test_zero_temperature_allowed(self, tmp_path, tiny_config, capsys):
+        out_dir = run_train(tmp_path, tiny_config)
+        capsys.readouterr()
+        rc = main(["generate", "--checkpoint", str(out_dir / "checkpoint"), "--prompt", "the",
+                   "--n-chars", "4", "--mode", "sample", "--temperature", "0"])
+        assert rc == 0
+        assert len(capsys.readouterr().out) == len("the") + 4 + 1
+
 
 class TestParamsCommand:
+    @pytest.mark.parametrize("flag", ["--l", "--p"])
+    def test_bad_flag_prints_nothing(self, flag, capsys):
+        """The specs are checked before the table header is printed."""
+        rc = main(["params", "--m", "4", "--heads", "1", flag, "0"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "positive" in err
+
     def test_table_values(self, capsys):
         rc = main(["params", "--m", "16", "--heads", "1", "--p", "1", "--l", "16"])
         assert rc == 0

@@ -8,7 +8,6 @@ from qisa_lab.data import (
     load_corpus,
     split_dataset,
     steps_per_epoch,
-    window_at,
 )
 from qisa_lab.errors import CorpusError
 
@@ -76,12 +75,6 @@ class TestSplit:
 
 
 class TestBatchIter:
-    def test_window_shift(self):
-        ids = np.array([0, 1, 2, 3, 4])
-        inputs, targets = window_at(ids, 1, 2)
-        np.testing.assert_array_equal(inputs, [1, 2])
-        np.testing.assert_array_equal(targets, [2, 3])
-
     def test_targets_shifted_in_batches(self):
         ids = np.arange(50)
         for inputs, targets in batch_iter(ids, l=4, batch=8, seed=0):

@@ -9,7 +9,6 @@ from qisa_lab.errors import CheckpointError, ConfigError, ContextOverflowError, 
 from qisa_lab.model import LanguageModel, ModelConfig
 from qisa_lab.qsim import (
     AnsatzParams,
-    HeadObservables,
     ObservableCache,
     hea_unitary,
     load_cache,
@@ -212,17 +211,17 @@ class TestObservableCacheIntegration:
             if variant == "qisa":
                 wv = w.wv_tilde[0].data
                 value = np.stack([wv.T @ np.real(pauli_matrix(o)) @ wv for o in w.value_obs])
-                entries[(layer, 0)] = HeadObservables(value=value[None].astype(complex))
+                entries[(layer, 0)] = {"value": value[None].astype(complex)}
             elif variant == "qisa_a":
-                entries[(layer, 0)] = HeadObservables(value=evolved(w.theta[0], w.value_obs)[None])
+                entries[(layer, 0)] = {"value": evolved(w.theta[0], w.value_obs)[None]}
             else:
                 roles = {"value": (w.theta_v[0], w.value_obs), "query": (w.theta_q[0], w.qk_obs),
                          "key": (w.theta_k[0], w.qk_obs)}
-                entries[(layer, 0)] = HeadObservables(**{
+                entries[(layer, 0)] = {
                     role: (np.stack([evolved(t, obs) for t in theta]) if variant == "qsann"
                            else evolved(theta, obs)[None])
-                    for role, (theta, obs) in roles.items()})
-        assert variant == "qisa" or np.abs(entries[(0, 0)].value.imag).max() > 1e-3
+                    for role, (theta, obs) in roles.items()}
+        assert variant == "qisa" or np.abs(entries[(0, 0)]["value"].imag).max() > 1e-3
         old = ObservableCache(kind="congruence" if variant == "qisa" else "ansatz", n=spec.n_qubits,
                               p=spec.p, variant=variant, built_from=model.parameter_hash(),
                               observables=tuple(o.word for o in model.blocks[0].attn.value_obs),
@@ -250,18 +249,21 @@ class TestObservableCacheIntegration:
         ("qisa", lambda roles: {**roles, "query": roles["value"], "key": roles["value"]}, "key"),
         ("qisa_a", lambda roles: {"value": roles["value"][:, :1]}, "value"),
         ("qsann_v2", lambda roles: {"value": roles["value"]}, "key"),
-    ], ids=["qsann-one-instance", "qisa-with-query-key", "qisa_a-fewer-observables", "qsann_v2-no-query-key"])
+        ("qsann_v1", None, "key"),  # no entry at all
+    ], ids=["qsann-one-instance", "qisa-with-query-key", "qisa_a-fewer-observables", "qsann_v2-no-query-key",
+            "qsann_v1-missing-entry"])
     def test_cache_that_does_not_fit_rejected(self, variant, edit, role):
         """An entry whose roles or [L, K, m, m] shapes differ from what the
-        weights build is refused, naming its layer, head and role, even
-        though its variant and parameter hash match."""
+        weights build, or that is missing, is refused, naming its layer,
+        head and role, even though its variant and parameter hash match."""
         from qisa_lab.errors import CacheMissError
 
         model = LanguageModel(tiny_config(variant=variant, m=8, H=2))
         cache = model.build_observable_cache()
         entries = dict(cache.evolved)
-        entries[(1, 1)] = HeadObservables(**edit({r: a for r, a in vars(entries[(1, 1)]).items()
-                                                  if a is not None}))
+        roles = entries.pop((1, 1))
+        if edit is not None:
+            entries[(1, 1)] = edit(dict(roles))
         edited = dataclasses.replace(cache, evolved=MappingProxyType(entries))
         with pytest.raises(CacheMissError, match=f"layer 1, head 1, role '{role}'"):
             model.forward(np.array([1, 2, 3]), cache=edited)

@@ -7,15 +7,15 @@ import pytest
 
 from conftest import finite_diff, rel_err
 from qisa_lab.attention import _lift, batched_quadratic_forms, congruence
-from qisa_lab.errors import CacheMissError, ConfigError, ContractError, DegenerateTokenError
+from qisa_lab.errors import ConfigError, ContractError, DegenerateTokenError
 from qisa_lab.qsim import (
     AnsatzParams,
-    HeadObservables,
     ObservableCache,
     PauliString,
     amplitude_encode,
     cnot_chain,
     expectation,
+    frozen_roles,
     hea_unitary,
     hea_unitary_tensors,
     load_cache,
@@ -51,14 +51,9 @@ def cached_expectation(
     layer: int,
     head: int,
     k: int,
-    *,
-    params_hash: str | None = None,
 ) -> float:
     """<x|P'|x> from the cache: one matrix-vector and one dot product."""
-    if params_hash is not None:
-        cache.check_hash(params_hash)
-    entry = cache.entry(layer, head)
-    mat = entry.value[0, k]
+    mat = cache.evolved[(layer, head)]["value"][0, k]
     x = np.asarray(x, dtype=np.complex128)
     return float(np.real(np.vdot(x, mat @ x)))
 
@@ -354,7 +349,7 @@ def build_cache(kind, per_head_maps, observables, *, variant="", p=0, built_from
     entries = {}
     for key, mat in per_head_maps.items():
         s = np.vstack([mat.real, mat.imag]) if kind == "ansatz" else mat
-        entries[key] = HeadObservables(value=congruence(Tensor(s[None]), lifted).data)
+        entries[key] = frozen_roles({"value": congruence(Tensor(s[None]), lifted).data})
     return ObservableCache(kind=kind, n=observables[0].n, p=p, variant=variant, built_from=built_from,
                            observables=tuple(o.word for o in observables),
                            evolved=MappingProxyType(entries))
@@ -362,7 +357,7 @@ def build_cache(kind, per_head_maps, observables, *, variant="", p=0, built_from
 
 def _assert_batched_forms_match_cache(cache, rng):
     """batched_quadratic_forms on [l, m] and [B, l, m] vs per-entry cached_expectation."""
-    mats = cache.entry(0, 0).value
+    mats = cache.evolved[(0, 0)]["value"]
     k_obs, m = mats.shape[1], mats.shape[-1]
     for shape in ((5, m), (3, 5, m)):
         x = rng.normal(size=shape)
@@ -388,8 +383,9 @@ class TestObservableCache:
     def test_identity_evolution(self):
         obs = select_observables(2, 4, "unitary")
         cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, obs)
+        value = cache.evolved[(0, 0)]["value"]
         for k, o in enumerate(obs):
-            np.testing.assert_allclose(cache.entry(0, 0).value[0, k], pauli_matrix(o).real, atol=1e-15)
+            np.testing.assert_allclose(value[0, k], pauli_matrix(o).real, atol=1e-15)
 
     def test_cached_matches_direct_simulation(self, rng):
         obs = select_observables(2, 6, "unitary")
@@ -436,18 +432,6 @@ class TestObservableCache:
         cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, obs)
         assert cached_expectation([1.0, 0, 0, 0], cache, 0, 0, 0) == 1.0
 
-    def test_missing_entry(self):
-        cache = build_cache("ansatz", {(0, 0): np.eye(2, dtype=complex)}, [PauliString("Z")])
-        with pytest.raises(CacheMissError):
-            cached_expectation([1.0, 0], cache, 3, 0, 0)
-
-    def test_stale_hash(self):
-        cache = build_cache("ansatz", {(0, 0): np.eye(2, dtype=complex)}, [PauliString("Z")],
-                            built_from="abc123")
-        with pytest.raises(CacheMissError):
-            cached_expectation([1.0, 0], cache, 0, 0, 0, params_hash="zzz999")
-        assert cached_expectation([1.0, 0], cache, 0, 0, 0, params_hash="abc123") == 1.0
-
     def test_dimension_mismatch(self, tmp_path):
         cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, [PauliString("ZZ")])
         path = tmp_path / "cache.bin"
@@ -460,15 +444,17 @@ class TestObservableCache:
         obs = select_observables(2, 4, "unitary")
         u = hea_unitary(AnsatzParams.random(rng, 2, 1))
         cache = build_cache("ansatz", {(0, 0): u}, obs)
-        arr = cache.entry(0, 0).value
+        arr = cache.evolved[(0, 0)]["value"]
         assert np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))).max() < 1e-12
 
     def test_immutable(self, rng):
         cache = build_cache("ansatz", {(0, 0): np.eye(2, dtype=complex)}, [PauliString("Z")])
         with pytest.raises(ValueError):
-            cache.entry(0, 0).value[0, 0, 0, 0] = 5.0
+            cache.evolved[(0, 0)]["value"][0, 0, 0, 0] = 5.0
         with pytest.raises(TypeError):
             cache.evolved[(1, 1)] = None
+        with pytest.raises(TypeError):
+            cache.evolved[(0, 0)]["query"] = None
 
     def test_roundtrip_serialization(self, rng, tmp_path):
         obs = select_observables(2, 5, "unitary")
@@ -484,7 +470,7 @@ class TestObservableCache:
         assert loaded.built_from == "deadbeef"
         assert loaded.observables == cache.observables
         for key in cache.evolved:
-            np.testing.assert_array_equal(loaded.entry(*key).value, cache.entry(*key).value)
+            np.testing.assert_array_equal(loaded.evolved[key]["value"], cache.evolved[key]["value"])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
