@@ -99,7 +99,7 @@ class AttentionSpec:
         if self.v2_kernel not in ("dot", "gaussian"):
             raise ConfigError(f"v2_kernel must be 'dot' or 'gaussian', got {self.v2_kernel!r}")
         if self.variant == "qsann" and self.H > 1:
-            warnings.warn("the per-position variant is normally compared with a single head", stacklevel=2)
+            warnings.warn("the per-position variant is normally compared with a single head", stacklevel=3)
 
     @property
     def h(self) -> int:

@@ -242,7 +242,7 @@ def cmd_eval(args) -> int:
     from .model import LanguageModel
     from .data import Vocab
     from .qsim import load_cache
-    from .training import MetricsReport, evaluate_ce, evaluate_cer_wer
+    from .training import evaluate_ce, evaluate_cer_wer
 
     model, manifest = LanguageModel.read(args.checkpoint)
     if manifest.get("vocab") is None:
@@ -268,12 +268,14 @@ def cmd_eval(args) -> int:
     cer_stats, wer_stats = evaluate_cer_wer(model, split.test_ids, vocab, n_windows=args.windows,
                                             gen_chars=args.gen_chars, cache=cache)
     wall = time.perf_counter() - t0
-    report = MetricsReport(ce=ce, cer=cer_stats, wer=wer_stats, steps=0, wall_time=wall)
+    report = {"ce_mean": ce[0], "ce_std": ce[1], "steps": 0, "wall_time_s": wall,
+              "cer_mean": cer_stats[0], "cer_std": cer_stats[1],
+              "wer_mean": wer_stats[0], "wer_std": wer_stats[1]}
     print(f"CE  {ce[0]:.4f} +- {ce[1]:.4f}")
     print(f"CER {cer_stats[0]:.4f} +- {cer_stats[1]:.4f}")
     print(f"WER {wer_stats[0]:.4f} +- {wer_stats[1]:.4f}")
     with _output("--out", out), open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
+        json.dump(report, fh, indent=1)
     print(f"wrote {out}")
     return 0
 
@@ -341,7 +343,7 @@ def cmd_bench(args) -> int:
 
     from .model import LanguageModel, ModelConfig
     from .tensor import no_grad
-    from .training import Adam, _batch_ce, clip_gradients
+    from .training import Adam, train_step
 
     if args.steps < 1 or args.warmup < 0 or args.batch < 1:
         raise ConfigError(f"bench needs --steps >= 1, --warmup >= 0 and --batch >= 1, "
@@ -360,15 +362,9 @@ def cmd_bench(args) -> int:
         ids = rng.integers(0, vocab_size, size=(args.batch, 16))
         targets = rng.integers(0, vocab_size, size=(args.batch, 16))
 
-        def train_step():
-            model.zero_grad()
-            loss = _batch_ce(model, ids, targets, training=True)
-            loss.backward()
-            clip_gradients(model.parameters(), 1.0)
-            opt.step()
-
         opt = Adam(model.named_parameters())
-        rows += _timed(variant, {"train": train_step}, args.warmup, args.steps)
+        rows += _timed(variant, {"train": lambda: train_step(model, opt, ids, targets, 1.0)},
+                       args.warmup, args.steps)
 
         def infer_step():
             with no_grad():

@@ -24,7 +24,7 @@ from .attention import (
 )
 from .errors import CacheMissError, CheckpointError, ConfigError, ContextOverflowError, ContractError
 from .qsim import ObservableCache
-from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_grad, reshape
+from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_grad, pack, reshape
 
 CHECKPOINT_FORMAT = 1
 
@@ -247,13 +247,11 @@ class LanguageModel:
             raise CheckpointError(f"checkpoint blob {path}.bin not found") from exc
         if qsim.params_hash(blob) != manifest["parameter_hash"]:
             raise CheckpointError("checkpoint blob does not match its recorded hash")
-        offset = 0
-        for _, t in model.named_parameters():
-            nbytes = t.size * 8
-            t.data = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(t.shape).copy()
-            offset += nbytes
-        if offset != len(blob):
-            raise CheckpointError("checkpoint blob has trailing bytes")
+        flat = pack(model.parameters())
+        if len(blob) != flat.nbytes:
+            raise CheckpointError(f"checkpoint blob {path}.bin holds {len(blob)} bytes, "
+                                  f"its parameter layout needs {flat.nbytes}")
+        flat[:] = np.frombuffer(blob, dtype="<f8")
         return model, manifest
 
     # -- evolved-observable cache ---------------------------------------------

@@ -135,6 +135,19 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
+def pack(tensors) -> np.ndarray:
+    """Copy the tensors' data, in order, into one flat float64 buffer and make
+    each tensor's ``data`` a view of it; returns the buffer.  A later pack of
+    the same tensors moves them into its own buffer, so the newest owns them."""
+    tensors = list(tensors)
+    flat = np.concatenate([t.data for t in tensors], axis=None)
+    offset = 0
+    for t in tensors:
+        t.data = flat[offset:offset + t.size].reshape(t.shape)
+        offset += t.size
+    return flat
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -365,6 +378,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (a, gain, bias), backward_fn)
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-probabilities of an array's last axis, shifted by its maximum (no tape)."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood (natural log) of integer targets."""
     logits = _as_tensor(logits)
@@ -376,11 +395,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ShapeError(f"targets must have shape ({n},)")
     if t.size and (t.min() < 0 or t.max() >= v):
         raise ContractError(f"target id outside [0, {v})")
-    x = logits.data
-    hi = x.max(axis=-1, keepdims=True)
-    shifted = x - hi
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax(logits.data)
     data = np.asarray(-logp[np.arange(n), t].mean())
 
     def backward_fn(g):

@@ -13,7 +13,7 @@ from .errors import ConfigError, ContractError, InsufficientDataError, NumericEr
 from .metrics import cer, wer
 from .model import LanguageModel, is_number
 from .qsim import ObservableCache
-from .tensor import Tensor, cross_entropy, no_grad, softmax_rows
+from .tensor import Tensor, cross_entropy, log_softmax, no_grad, pack, softmax_rows
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +52,11 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction over named parameter tensors."""
+    """Standard Adam with bias correction over named parameter tensors.
+
+    The tensors are packed, in order, into one flat buffer that every step
+    updates in place; a model's ``named_parameters`` order is its checkpoint
+    blob's byte order."""
 
     def __init__(self, named_params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8):
         self.named_params = list(named_params)
@@ -60,36 +64,36 @@ class Adam:
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(t.data) for _, t in self.named_params]
-        self.v = [np.zeros_like(t.data) for _, t in self.named_params]
+        self.flat = pack(t for _, t in self.named_params)
+        self.ends = np.cumsum([t.size for _, t in self.named_params])
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
-    def step(self) -> None:
+    def step(self, max_norm: float | None = None) -> None:
+        """Update from the tensors' gradients (zeros where a tensor has none),
+        first clipped to L2 norm ``max_norm`` when one is given."""
         self.t += 1
-        for i, (name, p) in enumerate(self.named_params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient in parameter {name!r} at step {self.t}")
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g**2
-            m_hat = self.m[i] / (1 - self.b1**self.t)
-            v_hat = self.v[i] / (1 - self.b2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([np.zeros(p.size) if p.grad is None else p.grad
+                            for _, p in self.named_params], axis=None)
+        finite = np.isfinite(g)
+        if not finite.all():
+            name, _ = self.named_params[np.searchsorted(self.ends, finite.argmin(), side="right")]
+            raise NumericError(f"non-finite gradient in parameter {name!r} at step {self.t}")
+        if max_norm is not None:
+            clip_gradients(g, max_norm)
+        self.m = self.b1 * self.m + (1 - self.b1) * g
+        self.v = self.b2 * self.v + (1 - self.b2) * g**2
+        m_hat = self.m / (1 - self.b1**self.t)
+        v_hat = self.v / (1 - self.b2**self.t)
+        self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad**2).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale a flat gradient in place so its L2 norm is at most ``max_norm``;
+    returns the norm before scaling."""
+    norm = float(np.sqrt((grad**2).sum()))
+    if norm > max_norm:
+        grad *= max_norm / norm
     return norm
 
 
@@ -118,28 +122,16 @@ class DivergenceGuard:
         self.step += 1
 
 
-@dataclass
-class MetricsReport:
-    ce: tuple[float, float]
-    cer: tuple[float, float] | None = None
-    wer: tuple[float, float] | None = None
-    steps: int = 0
-    wall_time: float = 0.0
-
-    def to_dict(self) -> dict:
-        out = {"ce_mean": self.ce[0], "ce_std": self.ce[1],
-               "steps": self.steps, "wall_time_s": self.wall_time}
-        if self.cer is not None:
-            out.update(cer_mean=self.cer[0], cer_std=self.cer[1])
-        if self.wer is not None:
-            out.update(wer_mean=self.wer[0], wer_std=self.wer[1])
-        return out
-
-
-def _batch_ce(model: LanguageModel, inputs: np.ndarray, targets: np.ndarray, training=False) -> Tensor:
-    b, t = inputs.shape
-    logits = model.forward(inputs, training=training)
-    return cross_entropy(logits.reshape(b * t, model.config.vocab_size), targets.reshape(-1))
+def train_step(model: LanguageModel, opt: Adam, inputs: np.ndarray, targets: np.ndarray,
+               max_norm: float | None) -> tuple[float, np.ndarray]:
+    """One Adam step on one batch, its gradient clipped to ``max_norm`` unless
+    that is None; returns the batch's loss before the step and its logits."""
+    model.zero_grad()
+    logits = model.forward(inputs, training=True)
+    loss = cross_entropy(logits.reshape(-1, model.config.vocab_size), targets.reshape(-1))
+    loss.backward()
+    opt.step(max_norm)
+    return loss.item(), logits.data
 
 
 def train(
@@ -166,14 +158,12 @@ def train(
     start = time.perf_counter()
     for epoch in range(cfg.epochs):
         for inputs, targets in batch_iter(data.train_ids, l, cfg.batch, seed=cfg.seed + epoch):
-            model.zero_grad()
-            loss = _batch_ce(model, inputs, targets, training=True)
-            value = loss.item()
+            # The last logits stay bound until the next step's forward has run, so
+            # the top of the heap is never free when the tape is released; glibc
+            # would return a free top to the OS, and every step would fault the
+            # tape's memory back in (3x the page faults of a csa step at batch 256).
+            value, logits = train_step(model, opt, inputs, targets, cfg.grad_clip)
             guard.check(value)
-            loss.backward()
-            if cfg.grad_clip is not None:
-                clip_gradients([t for _, t in opt.named_params], cfg.grad_clip)
-            opt.step()
             rows.append((step, "train", "ce", value))
             if cfg.eval_every and step % cfg.eval_every == 0 and len(data.test_ids) > l:
                 mean, _ = evaluate_ce(model, data.test_ids)
@@ -207,9 +197,7 @@ def evaluate_ce(model: LanguageModel, test_ids: np.ndarray, batch: int = 64,
             chunk = starts[lo : lo + batch]
             inputs = np.stack([test_ids[s : s + l] for s in chunk])
             targets = np.stack([test_ids[s + 1 : s + l + 1] for s in chunk])
-            logits = model.forward(inputs, cache=coeffs).data
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            logp = log_softmax(model.forward(inputs, cache=coeffs).data)
             nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
             losses.append(nll.mean(axis=-1))
     losses = np.concatenate(losses)

@@ -63,8 +63,9 @@ class TestSpec:
             AttentionSpec("qisa", m=6, H=2, l=8)
 
     def test_qsann_multihead_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             AttentionSpec("qsann", m=4, H=2, l=8)
+        assert record[0].filename == __file__  # the code that built the spec
 
     @pytest.mark.parametrize("v2_kernel", ["dot", "gaussian"])
     @pytest.mark.parametrize("variant", VARIANTS)

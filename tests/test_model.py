@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from types import MappingProxyType
 
 import numpy as np
@@ -174,6 +176,20 @@ class TestCheckpoint:
         (tmp_path / "ck.bin").write_bytes(blob[:-8] + b"\x00" * 8)
         with pytest.raises(CheckpointError):
             LanguageModel.load(tmp_path / "ck")
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b[:-3], lambda b: b + bytes(8)],
+                             ids=["short", "not-a-multiple-of-8", "long"])
+    def test_blob_of_another_length_with_its_own_hash(self, tmp_path, edit):
+        model = LanguageModel(tiny_config())
+        model.save(tmp_path / "ck")
+        need = (tmp_path / "ck.bin").stat().st_size
+        blob = edit((tmp_path / "ck.bin").read_bytes())
+        (tmp_path / "ck.bin").write_bytes(blob)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        manifest["parameter_hash"] = hashlib.sha256(blob).hexdigest()
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"holds {len(blob)} bytes, .* needs {need}"):
+            LanguageModel.read(tmp_path / "ck")
 
 
 class TestObservableCacheIntegration:
