@@ -328,13 +328,15 @@ def save_cache(cache: ObservableCache, path) -> None:
     """Write the documented binary format: magic, JSON header, matrix blob."""
     entries = []
     blobs = []
+    digest = hashlib.sha256()
     for (layer, head), roles in sorted(cache.evolved.items()):
         for role in (r for r in _ROLES if r in roles):
             arr = roles[role]
             inst, count, dim, _ = arr.shape
             entries.append({"layer": layer, "head": head, "role": role,
                             "instances": inst, "per_instance": count, "dim": dim})
-            blobs.append(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+            blobs.append(np.ascontiguousarray(arr, dtype="<c16"))
+            digest.update(blobs[-1])
     header = json.dumps({
         "kind": cache.kind,
         "n": cache.n,
@@ -343,6 +345,7 @@ def save_cache(cache: ObservableCache, path) -> None:
         "parameter_hash": cache.built_from,
         "observables": list(cache.observables),
         "entries": entries,
+        "blob_sha256": digest.hexdigest(),
     }).encode("utf-8")
     try:
         with open(path, "wb") as fh:
@@ -402,8 +405,11 @@ def load_cache(path) -> ObservableCache:
     """Read a QOC1 file into real coefficients.
 
     The header is checked against itself and against the file size before
-    any blob is read; a malformed file raises ConfigError.  Files holding
-    complex evolved observables U^dag P U load as their real parts.
+    any blob is read, and the matrices against the header's ``blob_sha256``
+    when it has one (files written before that key load without the check);
+    a malformed file, or a matrix with a non-finite entry, raises
+    ConfigError.  Files holding complex evolved observables U^dag P U load
+    as their real parts.
     """
 
     def bad(why):
@@ -423,10 +429,18 @@ def load_cache(path) -> ObservableCache:
             raise bad("the header runs past the end of the file")
         header = _check_header(fh.read(hlen), size - 12 - hlen, bad)
         parts: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+        digest = hashlib.sha256()
         for ent in header["entries"]:
             shape = (ent["instances"], ent["per_instance"], ent["dim"], ent["dim"])
-            arr = np.frombuffer(fh.read(16 * math.prod(shape)), dtype="<c16").reshape(shape)
-            parts.setdefault((ent["layer"], ent["head"]), {})[ent["role"]] = np.real(arr)
+            raw = fh.read(16 * math.prod(shape))
+            digest.update(raw)
+            arr = np.real(np.frombuffer(raw, dtype="<c16").reshape(shape))
+            if not np.isfinite(arr).all():
+                raise bad(f"the layer {ent['layer']}, head {ent['head']} {ent['role']} matrices "
+                          f"hold a non-finite entry")
+            parts.setdefault((ent["layer"], ent["head"]), {})[ent["role"]] = arr
+    if "blob_sha256" in header and digest.hexdigest() != header["blob_sha256"]:
+        raise bad("the matrices do not match the header's blob_sha256")
     return ObservableCache(
         kind=header["kind"],
         n=header["n"],

@@ -3,9 +3,13 @@
 A small tape engine: every operation links its output tensor to its
 inputs through a backward closure.  ``backward()`` on a scalar loss
 walks the recorded graph once in reverse topological order and
-accumulates gradients into ``grad`` of every tensor that requires
-them.  Graphs are single use and only first-order gradients are
-supported; everything runs in double precision.
+accumulates gradients into ``grad`` of the leaf tensors (those without
+parents) that require them.  The walk frees the tape as it goes: once a
+node has passed its gradient on, it drops its gradient, its closure and
+its parents, so intermediates hold no ``grad`` afterwards and their
+memory is released during the walk.  Graphs are single use and only
+first-order gradients are supported; everything runs in double
+precision.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class no_grad:
 class Tensor:
     """N-dimensional float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_done", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -44,6 +48,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
         self._done = False
+        self._owns_grad = False  # grad was allocated by this backward walk, so it may be added into
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -149,9 +154,23 @@ def pack(tensors) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    The first gradient is kept as a borrowed reference: backward functions
+    hand out aliases (``add`` passes one array to both parents, ``reshape`` a
+    view, ``tensor_sum`` a read-only broadcast), and a gradient from an
+    earlier walk may be held by the caller.  The second write allocates the
+    sum, which the tensor then owns and later writes add into in place.
+    """
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if t.grad is None:
+        t.grad = g
+    elif t._owns_grad:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+        t._owns_grad = True
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -293,18 +312,39 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU activation (tanh approximation)."""
+    """GELU activation (tanh approximation).
+
+    0.5 x (1 + tanh(c (x + 0.044715 x^3))), computed in place in a few
+    buffers in the operation order of the plain expression, so the result
+    is bit-for-bit that of the expression.
+    """
     a = _as_tensor(a)
     x = a.data
-    x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = x * 0.5
+    data *= t + 1.0
 
     def backward_fn(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        _accum(a, local * g)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2), times g
+        d_inner = x * x
+        d_inner *= 3 * 0.044715
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        local = t + 1.0
+        local *= 0.5
+        np.multiply(t, t, out=t)  # t is spent after this walk: the graph is single use
+        np.subtract(1.0, t, out=t)
+        slope = x * 0.5
+        slope *= t
+        slope *= d_inner
+        local += slope
+        local *= g
+        _accum(a, local)
 
     return _make(data, (a,), backward_fn)
 
@@ -341,13 +381,17 @@ def softmax_rows(a: Tensor) -> Tensor:
         raise NumericError("softmax input contains NaN")
     hi = np.max(x, axis=-1, keepdims=True)
     shift = np.where(np.isfinite(hi), hi, 0.0)
-    e = np.exp(x - shift)
-    z = e.sum(axis=-1, keepdims=True)
-    out = np.divide(e, z, out=np.zeros_like(e), where=z > 0)
+    out = x - shift
+    np.exp(out, out=out)
+    z = out.sum(axis=-1, keepdims=True)
+    np.divide(out, z, out=out, where=z > 0)  # a row with z = 0 is all zeros already
 
     def backward_fn(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        _accum(a, out * (g - dot))
+        ga = g * out
+        dot = ga.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=ga)
+        ga *= out
+        _accum(a, ga)
 
     return _make(out, (a,), backward_fn)
 
@@ -359,11 +403,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (m,) or bias.shape != (m,):
         raise ShapeError(f"layer_norm affine parameters must have shape ({m},)")
     mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu
+    var = (xhat**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def backward_fn(g):
         if gain.requires_grad:
@@ -371,9 +416,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, m).sum(axis=0))
         if a.requires_grad:
+            # (dxhat - mean(dxhat) - xhat mean(dxhat xhat)) inv, dxhat = g gain
             dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, term * inv)
+            dxx = dxhat * xhat
+            mean_dx = dxhat.mean(axis=-1, keepdims=True)
+            mean_dxx = dxx.mean(axis=-1, keepdims=True)
+            dxhat -= mean_dx
+            np.multiply(xhat, mean_dxx, out=dxx)
+            dxhat -= dxx
+            dxhat *= inv
+            _accum(a, dxhat)
 
     return _make(data, (a, gain, bias), backward_fn)
 
@@ -381,7 +433,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log-probabilities of an array's last axis, shifted by its maximum (no tape)."""
     shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -401,7 +454,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     def backward_fn(g):
         p = np.exp(logp)
         p[np.arange(n), t] -= 1.0
-        _accum(logits, p * (g / n))
+        p *= g / n
+        _accum(logits, p)
 
     return _make(data, (logits,), backward_fn)
 
@@ -427,8 +481,11 @@ def normalize_rows(a: Tensor, zero_fallback: bool = False, eps: float = 1e-12) -
         out = np.where(degenerate, e1, out)
 
     def backward_fn(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        ga = (g - out * dot) / norm
+        ga = g * out
+        dot = ga.sum(axis=-1, keepdims=True)
+        np.multiply(out, dot, out=ga)
+        np.subtract(g, ga, out=ga)
+        ga /= norm
         if degenerate.any():
             ga = np.where(degenerate, 0.0, ga)
         _accum(a, ga)
@@ -460,7 +517,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything the scalar ``loss`` depends on."""
+    """Accumulate the scalar ``loss``'s gradient into the leaves it depends on,
+    freeing every other node of the graph during the walk."""
     if loss.data.size != 1:
         raise ContractError("backward() requires a scalar loss")
     if loss._done:
@@ -469,10 +527,16 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss has no recorded computation graph")
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:  # popping, so each spent node and what its closure holds is freed now
+        node = order.pop()
+        # every write into its gradient came before this point, and a gradient
+        # handed out by this walk is never added into by a later one
+        node._owns_grad = False
         fn = node._backward_fn
         if fn is not None and node.grad is not None:
             fn(node.grad)
+        if node._parents:  # leaves keep their gradient
+            node.grad = None
         node._backward_fn = None
         node._parents = ()
     loss._done = True

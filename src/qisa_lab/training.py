@@ -69,9 +69,10 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
-    def step(self, max_norm: float | None = None) -> None:
+    def step(self, max_norm: float | None = None) -> float:
         """Update from the tensors' gradients (zeros where a tensor has none),
-        first clipped to L2 norm ``max_norm`` when one is given."""
+        first clipped to L2 norm ``max_norm`` when one is given; returns the
+        gradient's L2 norm before clipping."""
         self.t += 1
         g = np.concatenate([np.zeros(p.size) if p.grad is None else p.grad
                             for _, p in self.named_params], axis=None)
@@ -79,20 +80,20 @@ class Adam:
         if not finite.all():
             name, _ = self.named_params[np.searchsorted(self.ends, finite.argmin(), side="right")]
             raise NumericError(f"non-finite gradient in parameter {name!r} at step {self.t}")
-        if max_norm is not None:
-            clip_gradients(g, max_norm)
+        norm = clip_gradients(g, max_norm)
         self.m = self.b1 * self.m + (1 - self.b1) * g
         self.v = self.b2 * self.v + (1 - self.b2) * g**2
         m_hat = self.m / (1 - self.b1**self.t)
         v_hat = self.v / (1 - self.b2**self.t)
         self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return norm
 
 
-def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
-    """Scale a flat gradient in place so its L2 norm is at most ``max_norm``;
-    returns the norm before scaling."""
+def clip_gradients(grad: np.ndarray, max_norm: float | None) -> float:
+    """Scale a flat gradient in place so its L2 norm is at most ``max_norm``
+    (None: leave it as it is); returns the norm before scaling."""
     norm = float(np.sqrt((grad**2).sum()))
-    if norm > max_norm:
+    if max_norm is not None and norm > max_norm:
         grad *= max_norm / norm
     return norm
 
@@ -123,15 +124,16 @@ class DivergenceGuard:
 
 
 def train_step(model: LanguageModel, opt: Adam, inputs: np.ndarray, targets: np.ndarray,
-               max_norm: float | None) -> tuple[float, np.ndarray]:
+               max_norm: float | None) -> tuple[float, float, np.ndarray]:
     """One Adam step on one batch, its gradient clipped to ``max_norm`` unless
-    that is None; returns the batch's loss before the step and its logits."""
+    that is None; returns the batch's loss before the step, the gradient's
+    norm before clipping and the logits."""
     model.zero_grad()
     logits = model.forward(inputs, training=True)
     loss = cross_entropy(logits.reshape(-1, model.config.vocab_size), targets.reshape(-1))
     loss.backward()
-    opt.step(max_norm)
-    return loss.item(), logits.data
+    grad_norm = opt.step(max_norm)
+    return loss.item(), grad_norm, logits.data
 
 
 def train(
@@ -159,12 +161,15 @@ def train(
     for epoch in range(cfg.epochs):
         for inputs, targets in batch_iter(data.train_ids, l, cfg.batch, seed=cfg.seed + epoch):
             # The last logits stay bound until the next step's forward has run, so
-            # the top of the heap is never free when the tape is released; glibc
-            # would return a free top to the OS, and every step would fault the
-            # tape's memory back in (3x the page faults of a csa step at batch 256).
-            value, logits = train_step(model, opt, inputs, targets, cfg.grad_clip)
+            # the top of the heap is not free when the last of the tape is released;
+            # glibc would return a free top to the OS, and the next step would fault
+            # that memory back in.  The hold kept a csa step at batch 256 near 16 000
+            # minor faults rather than 45 000 while backward freed the tape only at
+            # its end; freeing it during the walk, the step takes 1 700-2 800 with or
+            # without the hold, as unrelated edits move the heap layout.
+            value, grad_norm, logits = train_step(model, opt, inputs, targets, cfg.grad_clip)
             guard.check(value)
-            rows.append((step, "train", "ce", value))
+            rows += [(step, "train", "ce", value), (step, "train", "grad_norm", grad_norm)]
             if cfg.eval_every and step % cfg.eval_every == 0 and len(data.test_ids) > l:
                 mean, _ = evaluate_ce(model, data.test_ids)
                 rows.append((step, "test", "ce", mean))

@@ -40,7 +40,7 @@ def m4_trained(corpus_split):
         model = LanguageModel(ModelConfig(vocab_size=vocab.size, m=4, H=1, n_layers=6, l=16,
                                           variant=variant, p=1, seed=0))
         model, rows = train(model, split, TrainConfig(**REDUCED_TRAIN), log_every=0)
-        out[variant] = (model, [r[3] for r in rows if r[1] == "train"])
+        out[variant] = (model, [r[3] for r in rows if r[1:3] == ("train", "ce")])
     return out
 
 

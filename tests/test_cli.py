@@ -406,6 +406,14 @@ def _cache_file_edits():
         return lambda data: (data[:pos % len(data)] + bytes([data[pos % len(data)] ^ bits])
                              + data[pos % len(data) + 1:])
 
+    def flip_blob(pos, bits):
+        def apply(data):
+            import struct
+
+            (hlen,) = struct.unpack("<Q", data[4:12])
+            return flip(12 + hlen + pos % (len(data) - 12 - hlen), bits)(data)
+        return apply
+
     def edit_header(target, key_index, value, delete):
         def apply(data):
             import struct
@@ -425,6 +433,7 @@ def _cache_file_edits():
     return st.one_of(
         st.builds(truncate, st.integers(0, 2**20)),
         st.builds(flip, st.integers(0, 2**20), st.integers(1, 255)),
+        st.builds(flip_blob, st.integers(0, 2**20), st.integers(1, 255)),
         st.builds(edit_header, st.one_of(st.none(), st.integers(0, 50)), st.integers(0, 50), values,
                   st.booleans()),
     )
@@ -454,12 +463,19 @@ def test_damaged_cache_file_is_a_typed_error(shared_cache_run):
 
     root, ckpt, good = shared_cache_run
     path = root / "damaged.cache"
+    blob_start = 12 + int.from_bytes(good[4:12], "little")
+    blob_flips = []
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_cache_file_edits())
     def check(damage):
-        path.write_bytes(damage(good))
+        damaged = damage(good)
+        # an intact header over changed matrices: the blob_sha256 must refuse it
+        blob_flipped = (len(damaged) == len(good) and damaged[:blob_start] == good[:blob_start]
+                        and damaged != good)
+        blob_flips.append(blob_flipped)
+        path.write_bytes(damaged)
         try:
             load_cache(path)
             loaded = True
@@ -467,9 +483,10 @@ def test_damaged_cache_file_is_a_typed_error(shared_cache_run):
             loaded = False
         rc = main(["eval", "--checkpoint", str(ckpt), "--cache", str(path), "--windows", "2",
                    "--gen-chars", "4", "--out", str(root / "m.json")])
-        assert rc in ((0, 2) if loaded else (2,))
+        assert rc in ((0, 2) if loaded and not blob_flipped else (2,))
 
     check()
+    assert any(blob_flips)
 
 
 class TestGenerateCommand:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import struct
 from types import MappingProxyType
 
@@ -527,3 +529,34 @@ class TestCacheFileChecks:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_cache(tmp_path / "absent.cache")
+
+    def test_header_records_the_blob_sha256(self, cache_file):
+        data = cache_file.read_bytes()
+        (hlen,) = struct.unpack("<Q", data[4:12])
+        header = json.loads(data[12:12 + hlen])
+        assert header["blob_sha256"] == hashlib.sha256(data[12 + hlen:]).hexdigest()
+
+    def test_flipped_blob_byte(self, cache_file):
+        data = bytearray(cache_file.read_bytes())
+        data[-3] ^= 0x01  # the last mantissa bits but one of the last matrix entry
+        cache_file.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match=re.escape(str(cache_file)) + ".*blob_sha256"):
+            load_cache(cache_file)
+
+    def test_file_without_blob_sha256_still_loads(self, cache_file):
+        expect = load_cache(cache_file)
+        _rewrite_header(cache_file, lambda h: h.pop("blob_sha256"))
+        loaded = load_cache(cache_file)
+        for key, roles in expect.evolved.items():
+            np.testing.assert_array_equal(loaded.evolved[key]["value"], roles["value"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry(self, tmp_path, bad):
+        arr = np.zeros((1, 3, 4, 4))
+        arr[0, 2, 1, 3] = bad
+        cache = ObservableCache(kind="ansatz", n=2, p=1, variant="qisa_a", built_from="abc",
+                                observables=("ZZ", "XX", "YY"), evolved={(0, 0): frozen_roles({"value": arr})})
+        path = tmp_path / "cache.bin"
+        save_cache(cache, path)  # a matching blob_sha256: only the finiteness check refuses it
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*non-finite"):
+            load_cache(path)

@@ -209,6 +209,30 @@ class TestBackward:
         w.zero_grad()
         assert w.grad is None
 
+    def test_only_leaves_keep_gradients(self, rng):
+        x0, w0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
+        t = np.array([0, 4, 2])
+
+        def build(x, w, b):
+            z = matmul(x, w)
+            h = gelu(z + b)
+            n = layer_norm(h, Tensor(np.ones(5)), Tensor(np.zeros(5)))
+            return cross_entropy(n * h, t), (z, h, n)
+
+        leaves = {"x": Tensor(x0.copy(), requires_grad=True), "w": Tensor(w0.copy(), requires_grad=True),
+                  "b": Tensor(b0.copy(), requires_grad=True)}
+        loss, intermediates = build(**leaves)
+        loss.backward()
+        start = {"x": x0, "w": w0, "b": b0}
+        for name, leaf in leaves.items():
+            def value(arr, name=name):
+                args = {k: Tensor(arr if k == name else v) for k, v in start.items()}
+                return build(**args)[0].item()
+            assert rel_err(leaf.grad, finite_diff(value, start[name].copy())) < 1e-6, name
+        assert all(node.grad is None for node in intermediates + (loss,))
+        with pytest.raises(ContractError):
+            loss.backward()
+
     def test_no_grad_mode(self):
         w = Tensor([1.0], requires_grad=True)
         with no_grad():
@@ -281,3 +305,50 @@ class TestNormalizeRows:
         normalize_rows(x, zero_fallback=True).sum().backward()
         np.testing.assert_array_equal(x.grad[0], [0.0, 0.0])
         assert np.abs(x.grad[1]).max() > 0
+
+
+class TestGradientAliasing:
+    """Backward functions hand out aliased gradients (one array to both
+    operands of ``add``, views from ``reshape`` and ``concat``, a read-only
+    broadcast from ``sum``); accumulating in place must never write into them."""
+
+    CASES = {
+        "x+x": lambda t, c: ((t + t) * Tensor(c)).sum() + (t + t).sum(),
+        "reshape(x)+x": lambda t, c: (reshape(reshape(t, (8,)), (2, 4)) + t).sum()
+        + ((reshape(t, (4, 2)).reshape(2, 4) + t) * Tensor(c)).sum(),
+        "x*x": lambda t, c: (t * t * Tensor(c)).sum(),
+        "concat([x,x])": lambda t, c: (concat([t, t], axis=0) * Tensor(np.vstack([c, -c * 0.5]))).sum()
+        + concat([t, t]).sum(),
+        "gather_rows repeated": lambda t, c: (gather_rows(t, [1, 0, 1, 1]) * Tensor(np.vstack([c, c]))).sum()
+        + (t * Tensor(c)).sum(),
+        "sum then reuse": lambda t, c: t.sum() + (t * Tensor(c)).sum(),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_gradient(self, name, rng):
+        x0 = rng.normal(size=(2, 4))
+        c = rng.normal(size=(2, 4))
+        g, n = grad_of(lambda t: self.CASES[name](t, c), x0)
+        assert rel_err(g, n) < 1e-6, name
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_operands_sharing_one_gradient(self, shared_first, rng):
+        # add hands one array to x and w; x's other write must not reach w's
+        x0, w0, c, d = (rng.normal(size=(2, 3)) for _ in range(4))
+
+        def loss(x, w):
+            shared, own = ((x + w) * Tensor(c)).sum(), (x * Tensor(d)).sum()
+            return shared + own if shared_first else own + shared
+
+        x, w = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        loss(x, w).backward()
+        assert rel_err(x.grad, finite_diff(lambda a: loss(Tensor(a), Tensor(w0)).item(), x0.copy())) < 1e-6
+        assert rel_err(w.grad, finite_diff(lambda a: loss(Tensor(x0), Tensor(a)).item(), w0.copy())) < 1e-6
+
+    def test_gradient_held_by_the_caller_is_not_written_into(self):
+        w = Tensor([2.0, -1.0], requires_grad=True)
+        (w * 3.0 + w * 2.0).sum().backward()  # two writes: w owns its gradient in this walk
+        held = w.grad
+        (w * 3.0).sum().backward()
+        np.testing.assert_array_equal(held, [5.0, 5.0])
+        np.testing.assert_array_equal(w.grad, [8.0, 8.0])

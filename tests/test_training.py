@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qisa_lab.data import Vocab, split_dataset
+from qisa_lab.data import Vocab, batch_iter, split_dataset
 from qisa_lab.errors import CacheMissError, ConfigError, ContractError, InsufficientDataError, NumericError
 from qisa_lab.model import LanguageModel, ModelConfig
 from qisa_lab.tensor import Tensor
@@ -70,6 +70,17 @@ class TestAdam:
         opt = Adam([("p", p)])
         with pytest.raises(NumericError, match="'p'"):
             opt.step()
+
+    def test_step_returns_the_norm_before_clipping(self):
+        for max_norm in (None, 1.0):
+            p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
+            p.grad = np.array([3.0, 4.0])
+            assert Adam([("p", p)]).step(max_norm) == 5.0
+
+    def test_clip_gradients_without_a_norm_only_measures(self):
+        grad = np.full(4, 10.0)
+        assert clip_gradients(grad, None) == 20.0
+        np.testing.assert_array_equal(grad, 10.0)
 
     def test_clip_gradients(self):
         grad = np.full(7, 10.0)
@@ -158,8 +169,23 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch=len(data.train_ids) - model.config.l, eval_every=0, seed=1)
         model, rows = train(model, data, cfg, log_every=0)
         train_rows = [r for r in rows if r[1] == "train"]
-        assert len(train_rows) == 1
-        assert np.isfinite(train_rows[0][3])
+        assert [r[2] for r in train_rows] == ["ce", "grad_norm"]
+        assert np.isfinite([r[3] for r in train_rows]).all()
+
+    @pytest.mark.parametrize("grad_clip", [None, 1e-3])
+    def test_rows_carry_the_gradient_norm_before_clipping(self, rng, grad_clip):
+        data = tiny_dataset(rng)
+        cfg = TrainConfig(epochs=1, batch=64, eval_every=0, seed=1, grad_clip=grad_clip)
+        _, rows = train(tiny_model(), data, cfg, log_every=0)
+        ce = [(r[0], r[3]) for r in rows if r[1:3] == ("train", "ce")]
+        norms = [(r[0], r[3]) for r in rows if r[1:3] == ("train", "grad_norm")]
+        assert [step for step, _ in norms] == [step for step, _ in ce] == list(range(len(ce)))
+        # the first step's norm, from the same batch on a fresh model
+        model = tiny_model()
+        inputs, targets = next(batch_iter(data.train_ids, model.config.l, 64, seed=1))
+        loss, norm, _ = train_step(model, Adam(model.named_parameters()), inputs, targets, None)
+        assert (loss, norm) == (ce[0][1], norms[0][1])
+        assert norm > 1e-3  # so the clipped run did clip
 
     def test_loss_decreases_on_learnable_corpus(self, rng):
         text = "abcdefg" * 200
@@ -168,7 +194,7 @@ class TestTrainLoop:
         model = tiny_model(vocab_size=vocab.size)
         cfg = TrainConfig(epochs=4, batch=32, lr=1e-2, eval_every=0, seed=0)
         model, rows = train(model, data, cfg, log_every=0)
-        train_losses = [r[3] for r in rows if r[1] == "train"]
+        train_losses = [r[3] for r in rows if r[1:3] == ("train", "ce")]
         assert np.mean(train_losses[-5:]) < 0.5 * np.mean(train_losses[:5])
         mean, _ = evaluate_ce(model, data.test_ids)
         assert mean < 0.5  # periodic corpus is almost fully predictable
@@ -215,7 +241,7 @@ class TestEvaluateCE:
         starts = [0, l + 1, 2 * (l + 1)]
         inputs = np.stack([ids[s : s + l] for s in starts])
         targets = np.stack([ids[s + 1 : s + l + 1] for s in starts])
-        direct, _ = train_step(model, Adam(model.named_parameters()), inputs, targets, None)
+        direct = train_step(model, Adam(model.named_parameters()), inputs, targets, None)[0]
         assert abs(mean - direct) < 1e-12
 
     def test_too_short(self):
