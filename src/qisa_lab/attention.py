@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,12 +164,20 @@ def _lift(observables: list[PauliString], real: bool = False) -> Tensor:
 
     With ``real`` it is Re(P_k), for a real map S = W~.  Otherwise it is
     [[Re P_k, -Im P_k], [Im P_k, Re P_k]], the real form of P_k acting on
-    S = [Re U; Im U], so that S^T P~_k S = Re(U^dag P_k U).
+    S = [Re U; Im U], so that S^T P~_k S = Re(U^dag P_k U).  A stack is a
+    per-process read-only constant: it is built on the first request for
+    its words, and every layer and model that asks for them again wraps
+    the same array.
     """
+    return Tensor(_lifted_stack(tuple(observables), real))
+
+
+@lru_cache(maxsize=None)
+def _lifted_stack(observables: tuple[PauliString, ...], real: bool) -> np.ndarray:
     mats = np.stack([pauli_matrix(o) for o in observables])
-    if real:
-        return Tensor(mats.real)
-    return Tensor(np.block([[mats.real, -mats.imag], [mats.imag, mats.real]]))
+    out = mats.real if real else np.block([[mats.real, -mats.imag], [mats.imag, mats.real]])
+    out.flags.writeable = False
+    return out
 
 
 def congruence(s: Tensor, lifted: Tensor) -> Tensor:

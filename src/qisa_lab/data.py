@@ -40,6 +40,10 @@ class Vocab:
 
     chars: tuple[str, ...]
 
+    def __post_init__(self):  # a checkpoint's vocabulary arrives here unchecked
+        if not self.chars or not all(isinstance(ch, str) and len(ch) == 1 for ch in self.chars):
+            raise CorpusError(f"a vocabulary is a non-empty sequence of single characters, got {self.chars!r}")
+
     @classmethod
     def from_text(cls, text: str) -> "Vocab":
         if not text:
@@ -50,16 +54,21 @@ class Vocab:
     def size(self) -> int:
         return len(self.chars)
 
-    @property
-    def index(self) -> dict[str, int]:
-        return {ch: i for i, ch in enumerate(self.chars)}
-
     def encode(self, text: str) -> np.ndarray:
-        index = self.index
-        try:
-            return np.fromiter((index[ch] for ch in text), dtype=np.int64, count=len(text))
-        except KeyError as exc:
-            raise CorpusError(f"character {exc.args[0]!r} is not in the vocabulary") from exc
+        """int64 ids of the characters of ``text``, by a table indexed by
+        codepoint; raises CorpusError naming the first unknown character."""
+        # "surrogatepass" keeps a lone surrogate (from a command line that was
+        # not valid UTF-8) as one codepoint, so that it is reported like any other
+        codepoints = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        known = np.array([ord(ch) for ch in self.chars])
+        top = known.max()
+        table = np.full(top + 2, -1, np.int64)  # the last slot: every codepoint above the vocabulary
+        table[known] = np.arange(len(known))
+        ids = table[np.minimum(codepoints, top + 1)]
+        unknown = np.flatnonzero(ids < 0)
+        if unknown.size:
+            raise CorpusError(f"character {text[unknown[0]]!r} is not in the vocabulary")
+        return ids
 
     def decode(self, ids) -> str:
         return "".join(self.chars[int(i)] for i in ids)

@@ -81,8 +81,14 @@ def select_observables(n: int, count: int, mode: str) -> list[PauliString]:
     Mode "real_congruence" additionally drops words with an odd number
     of Y letters: their matrices are purely imaginary, so quadratic
     forms over real vectors vanish identically.  Mode "unitary" keeps
-    every non-identity word.
+    every non-identity word.  The words are chosen once per process; each
+    call returns a new list of them.
     """
+    return list(_select_observables(n, count, mode))
+
+
+@lru_cache(maxsize=None)
+def _select_observables(n: int, count: int, mode: str) -> tuple[PauliString, ...]:
     if mode not in ("real_congruence", "unitary"):
         raise ConfigError(f"unknown observable mode {mode!r}")
     pool: list[PauliString] = []
@@ -94,7 +100,7 @@ def select_observables(n: int, count: int, mode: str) -> list[PauliString]:
             continue
         pool.append(p)
         if len(pool) == count:
-            return pool
+            return tuple(pool)
     raise ConfigError(f"requested {count} observables but only {len(pool)} exist for n={n}, mode={mode}")
 
 

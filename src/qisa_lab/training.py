@@ -148,6 +148,10 @@ def train(
 ) -> tuple[LanguageModel, list[tuple]]:
     """Optimize the model; returns loss-curve rows (step, split, metric, value).
 
+    Each step gives four train rows: ``ce``, ``grad_norm`` (before
+    clipping), ``step_s`` (the wall time of the step) and ``tok_s``
+    (batch * l tokens over ``step_s``); each test evaluation a test ``ce`` row.
+
     Training aborts if the loss stays above 10x its initial value for 100
     consecutive steps.  A checkpoint is written at the end when a path is
     given.
@@ -167,9 +171,12 @@ def train(
             # minor faults rather than 45 000 while backward freed the tape only at
             # its end; freeing it during the walk, the step takes 1 700-2 800 with or
             # without the hold, as unrelated edits move the heap layout.
+            t0 = time.perf_counter()
             value, grad_norm, logits = train_step(model, opt, inputs, targets, cfg.grad_clip)
+            step_s = time.perf_counter() - t0
             guard.check(value)
-            rows += [(step, "train", "ce", value), (step, "train", "grad_norm", grad_norm)]
+            rows += [(step, "train", "ce", value), (step, "train", "grad_norm", grad_norm),
+                     (step, "train", "step_s", step_s), (step, "train", "tok_s", inputs.size / step_s)]
             if cfg.eval_every and step % cfg.eval_every == 0 and len(data.test_ids) > l:
                 mean, _ = evaluate_ce(model, data.test_ids)
                 rows.append((step, "test", "ce", mean))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff, rel_err
+from qisa_lab import attention
 from qisa_lab.attention import (
     VARIANTS,
     AttentionSpec,
@@ -19,8 +20,10 @@ from qisa_lab.attention import (
     total_attention_params,
 )
 from qisa_lab.errors import ConfigError, ShapeError
+from qisa_lab.model import LanguageModel, ModelConfig
 from qisa_lab.qsim import (
     AnsatzParams,
+    PauliString,
     amplitude_encode,
     expectation,
     hea_unitary,
@@ -475,3 +478,55 @@ class TestQisaBridge:
         out_a = attend(x, wa, causal_mask(4)).data
         out_q = attend(x, wq, causal_mask(4)).data
         np.testing.assert_allclose(out_a, out_q, atol=1e-10)
+
+
+class TestSharedObservableStacks:
+    """Observable stacks are per-process read-only constants."""
+
+    @staticmethod
+    def models(variant, seeds=(0, 1), m=4):
+        return [LanguageModel(ModelConfig(vocab_size=5, m=m, n_layers=2, l=4, variant=variant, seed=seed))
+                for seed in seeds]
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "csa"])
+    def test_layers_and_models_share_one_stack(self, variant):
+        layers = [block.attn for model in self.models(variant) for block in model.blocks]
+        for role in layers[0].features:
+            stack = layers[0]._lifted[role].data
+            assert all(w._lifted[role].data is stack for w in layers)
+        # keys read the query observables, through the same stack
+        if "key" in layers[0].features:
+            assert layers[0]._lifted["key"].data is layers[0]._lifted["query"].data
+
+    def test_stack_is_read_only(self):
+        stack = self.models("qsann_v2", seeds=(0,))[0].blocks[0].attn._lifted["value"].data
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            stack *= 2.0
+
+    def test_select_observables_returns_a_new_list(self):
+        first = select_observables(2, 3, "unitary")
+        words = [o.word for o in first]
+        first.append(PauliString("ZZ"))
+        first[0] = PauliString("YY")
+        again = select_observables(2, 3, "unitary")
+        assert again is not first
+        assert [o.word for o in again] == words
+
+    def test_each_pauli_matrix_built_once(self, monkeypatch):
+        """Two qsann_v2 models at m=16 read 2 observable sets of the same 16
+        words in each of 6 layers; each word's matrix is built once."""
+        calls = []
+
+        def counting(p):
+            calls.append(p.word)
+            return pauli_matrix(p)
+
+        monkeypatch.setattr(attention, "pauli_matrix", counting)
+        attention._lifted_stack.cache_clear()
+        for seed in (0, 1):
+            LanguageModel(ModelConfig(vocab_size=5, m=16, n_layers=6, variant="qsann_v2", seed=seed))
+        assert len(calls) <= 16
+        assert sorted(calls) == sorted(o.word for o in select_observables(4, 16, "unitary"))

@@ -37,6 +37,12 @@ def run_train(tmp_path, tiny_config, out_name="run"):
     return out_dir
 
 
+def untimed_rows(out_dir):
+    """The rows of a run's loss.csv, less the wall-clock step_s and tok_s rows."""
+    with open(out_dir / "loss.csv") as fh:
+        return [row for row in csv.reader(fh) if row[2] not in ("step_s", "tok_s")]
+
+
 class TestPresets:
     def test_known_presets(self):
         cfg = preset_config("emb16-h1-qisa")
@@ -75,11 +81,13 @@ class TestTrainCommand:
             int(step)
             assert split in ("train", "test")
             float(value)
+        step0 = [metric for step, split, metric, _ in rows[1:] if (step, split) == ("0", "train")]
+        assert step0 == ["ce", "grad_norm", "step_s", "tok_s"]
 
     def test_deterministic_rerun(self, tmp_path, tiny_config):
         d1 = run_train(tmp_path, tiny_config, "a")
         d2 = run_train(tmp_path, tiny_config, "b")
-        assert (d1 / "loss.csv").read_text() == (d2 / "loss.csv").read_text()
+        assert untimed_rows(d1) == untimed_rows(d2)
         assert (d1 / "checkpoint.bin").read_bytes() == (d2 / "checkpoint.bin").read_bytes()
 
     def test_rerun_from_manifest_config(self, tmp_path, tiny_config):
@@ -91,7 +99,7 @@ class TestTrainCommand:
         replay_cfg.write_text(json.dumps(cfg))
         rc = main(["train", "--config", str(replay_cfg), "--out-dir", str(tmp_path / "c")])
         assert rc == 0
-        assert (d1 / "loss.csv").read_text() == (tmp_path / "c" / "loss.csv").read_text()
+        assert untimed_rows(d1) == untimed_rows(tmp_path / "c")
 
     @pytest.mark.parametrize("fraction", [0, 0.001], ids=["zero", "shorter-than-a-window"])
     def test_split_without_a_test_window_refused_before_training(self, tmp_path, tiny_config, fraction,
@@ -509,6 +517,17 @@ class TestGenerateCommand:
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and "--temperature" in err
+
+    def test_lone_surrogate_prompt(self, tmp_path, tiny_config, capsys):
+        """An argv byte that is not UTF-8 arrives as a lone surrogate; it is an
+        unknown character like any other."""
+        out_dir = run_train(tmp_path, tiny_config)
+        capsys.readouterr()
+        rc = main(["generate", "--checkpoint", str(out_dir / "checkpoint"), "--prompt", "\udcff",
+                   "--n-chars", "4"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and repr("\udcff") in err and "vocabulary" in err
 
     def test_zero_temperature_allowed(self, tmp_path, tiny_config, capsys):
         out_dir = run_train(tmp_path, tiny_config)

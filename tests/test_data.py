@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from qisa_lab.data import (
+    BUNDLED_CORPUS,
     Vocab,
     batch_iter,
     build_vocab,
@@ -58,6 +61,31 @@ class TestVocab:
     def test_empty_text(self):
         with pytest.raises(CorpusError):
             Vocab.from_text("")
+
+    @pytest.mark.parametrize("char", ["a", "z", "\U0001f600", "\udcff"],
+                             ids=["below", "above", "non-bmp", "lone-surrogate"])
+    def test_unknown_character_named(self, char):
+        v = build_vocab("bcd")
+        with pytest.raises(CorpusError, match=re.escape(repr(char))):
+            v.encode("bc" + char + "d?")  # the first unknown character is named
+
+    def test_encode_empty(self):
+        ids = build_vocab("abc").encode("")
+        assert ids.dtype == np.int64 and ids.shape == (0,)
+
+    def test_bundled_corpus_roundtrip(self):
+        text = load_corpus(BUNDLED_CORPUS)
+        v = build_vocab(text)
+        ids = v.encode(text)
+        index = {ch: i for i, ch in enumerate(v.chars)}
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, [index[ch] for ch in text])
+        assert v.decode(ids) == text
+
+    @pytest.mark.parametrize("chars", [(), ("ab",), (5,)], ids=["empty", "two-letter", "not-a-string"])
+    def test_malformed_vocabulary(self, chars):
+        with pytest.raises(CorpusError, match="single characters"):
+            Vocab(chars)
 
 
 class TestSplit:

@@ -169,8 +169,10 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch=len(data.train_ids) - model.config.l, eval_every=0, seed=1)
         model, rows = train(model, data, cfg, log_every=0)
         train_rows = [r for r in rows if r[1] == "train"]
-        assert [r[2] for r in train_rows] == ["ce", "grad_norm"]
+        assert [r[2] for r in train_rows] == ["ce", "grad_norm", "step_s", "tok_s"]
         assert np.isfinite([r[3] for r in train_rows]).all()
+        step_s, tok_s = train_rows[2][3], train_rows[3][3]
+        assert step_s > 0 and tok_s == pytest.approx(cfg.batch * model.config.l / step_s)
 
     @pytest.mark.parametrize("grad_clip", [None, 1e-3])
     def test_rows_carry_the_gradient_norm_before_clipping(self, rng, grad_clip):
@@ -206,7 +208,7 @@ class TestTrainLoop:
             data = tiny_dataset(np.random.default_rng(0))
             cfg = TrainConfig(epochs=1, batch=64, eval_every=0, seed=3)
             _, rows = train(model, data, cfg, log_every=0)
-            curves.append([r[3] for r in rows if r[1] == "train"])
+            curves.append([r[3] for r in rows if r[1] == "train" and r[2] not in ("step_s", "tok_s")])
         assert curves[0] == curves[1]
 
     def test_writes_checkpoint(self, rng, tmp_path):
