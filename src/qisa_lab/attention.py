@@ -273,9 +273,6 @@ class AttentionWeights:
                 for j in range(self.spec.H)]
 
 
-build_attention_weights = AttentionWeights
-
-
 # ---------------------------------------------------------------------------
 # the quadratic-feature op
 # ---------------------------------------------------------------------------
@@ -294,23 +291,21 @@ def _forms(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 
 
 def batched_quadratic_forms(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Real quadratic forms x^T Re(M_k) x for row-stacked real x.
+    """Quadratic forms x^T M_k x for row-stacked real x and real M_k.
 
     ``mats`` is [L, K, m, m].  With L = 1 its stack is shared by every row
     of ``x`` ([..., m]; the result is [..., K]); otherwise ``x`` is
-    [B, l, m] with l <= L, and position i uses ``mats[i]``.  For Hermitian M_k
-    this equals the expectation <x|M_k|x>: Im(M_k) is then antisymmetric
-    and drops out of a real quadratic form.
+    [B, l, m] with l <= L, and position i uses ``mats[i]``.
 
     The K matrices are laid side by side as one [m, K*m] operand, so one
-    GEMM gives every x^T Re(M_k) and a batched dot with x finishes the
+    GEMM gives every x^T M_k and a batched dot with x finishes the
     forms.  The leading axes of ``x`` are kept, so a [B, l, m] input runs
     as B small [l, m] @ [m, K*m] GEMMs (per position: l GEMMs of
     [B, m] @ [m, K*m]): flattening the rows into one GEMM lets a
     multi-threaded BLAS split a tiny product across threads, which costs
     far more than the product itself.
     """
-    stacked = _side_by_side(np.real(mats))
+    stacked = _side_by_side(mats)
     if len(stacked) == 1:
         return _forms(x, stacked[0])
     xt = np.swapaxes(x, 0, 1)

@@ -332,7 +332,7 @@ def cmd_cache(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"--out: {exc}") from exc
     n_mats = sum(len(a) * a.shape[1] for roles in cache.evolved.values() for a in roles.values())
-    print(f"cached {n_mats} evolved observables ({cache.kind}) to {out}")
+    print(f"cached {n_mats} evolved observables ({cache.variant}) to {out}")
     return 0
 
 

@@ -233,6 +233,11 @@ class LanguageModel:
         if not isinstance(manifest["config"], dict):
             raise CheckpointError("checkpoint config is not a JSON object")
         model = cls(ModelConfig.from_dict(manifest["config"]))
+        vocab = manifest.get("vocab")
+        if vocab is not None and (not isinstance(vocab, list) or len(vocab) != model.config.vocab_size):
+            raise CheckpointError(f"checkpoint manifest {path}.json: 'vocab' must be a list of "
+                                  f"{model.config.vocab_size} characters (config.vocab_size), "
+                                  f"got {vocab!r:.60}")
         expected = [(n, tuple(t.shape)) for n, t in model.named_parameters()]
         try:
             listed = [(e["name"], tuple(e["shape"])) for e in manifest["parameters"]]
@@ -262,7 +267,8 @@ class LanguageModel:
         csa).  Without a cache it is built from the weights, on the tape
         unless under ``no_grad``.  With one it holds the cache's frozen A,
         after one check of its variant, its parameter hash (qsann_v1 and
-        qsann_v2 of one seed share parameters) and each entry's roles and shapes."""
+        qsann_v2 of one seed share parameters), that it holds no (layer,
+        head) the model lacks, and each entry's roles and shapes."""
         if cache is None:
             return [block.attn.coefficients() for block in self.blocks]
         if cache.variant != self.config.variant:
@@ -270,6 +276,11 @@ class LanguageModel:
                                  f"this model is {self.config.variant!r}")
         if cache.built_from != self.parameter_hash():
             raise CacheMissError("cache is stale: parameters changed since it was built")
+        layers, heads = self.config.n_layers, self.config.H
+        extra = sorted(set(cache.evolved) - {(layer, head) for layer in range(layers) for head in range(heads)})
+        if extra:
+            raise CacheMissError(f"cache layer {extra[0][0]}, head {extra[0][1]} is not in this model "
+                                 f"({layers} layers, {heads} heads)")
         need = self.blocks[0].attn.feature_shapes
 
         def frozen(layer, head):  # a missing entry holds nothing
@@ -281,24 +292,15 @@ class LanguageModel:
                                          f"this model needs {need.get(role, 'nothing')}")
             return {role: Tensor(a) for role, a in entry.items()}
 
-        return [[frozen(layer, head) for head in range(self.config.H)]
-                for layer in range(self.config.n_layers)]
+        return [[frozen(layer, head) for head in range(heads)] for layer in range(layers)]
 
     def build_observable_cache(self) -> ObservableCache:
         """Freeze the coefficient table, built under ``no_grad``, into an observable cache."""
-        spec, attn = self.config.attention_spec(), self.blocks[0].attn
-        if not attn.features:
+        if not self.blocks[0].attn.features:
             raise ConfigError("the classical variant has no observables to cache")
         with no_grad():
             table = self.coefficients()
         entries = {(layer, head): qsim.frozen_roles({role: a.data for role, a in coeffs.items()})
                    for layer, heads in enumerate(table) for head, coeffs in enumerate(heads)}
-        return ObservableCache(
-            kind="congruence" if "matrix" in attn.features.values() else "ansatz",
-            n=spec.n_qubits,
-            p=spec.p,
-            variant=spec.variant,
-            built_from=self.parameter_hash(),
-            observables=tuple(o.word for o in attn.value_obs),
-            evolved=MappingProxyType(entries),
-        )
+        return ObservableCache(variant=self.config.variant, built_from=self.parameter_hash(),
+                               evolved=MappingProxyType(entries))

@@ -303,15 +303,12 @@ class ObservableCache:
     the head shares one map across tokens and equals the context length
     for the per-position variant.  The roles are "value", plus "query"
     and "key" for the qsann variants; :func:`frozen_roles` makes each
-    entry.  ``LanguageModel.coefficients`` decides whether a cache fits.
+    entry.  ``built_from`` is the parameter hash of the model it was built
+    from; ``LanguageModel.coefficients`` decides whether a cache fits.
     """
 
-    kind: str  # "ansatz" (A = Re(U^dag P U)) or "congruence" (A = W^T Re(P) W)
-    n: int
-    p: int
     variant: str
     built_from: str
-    observables: tuple[str, ...]
     evolved: Mapping[tuple[int, int], Mapping[str, np.ndarray]]
 
 
@@ -319,9 +316,8 @@ class ObservableCache:
 # serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"QOC1"
-_HEADER_FIELDS = {"kind": str, "n": int, "p": int, "variant": str, "parameter_hash": str,
-                  "observables": list, "entries": list}
+_MAGIC = b"QOC2"
+_HEADER_FIELDS = {"variant": str, "parameter_hash": str, "entries": list, "blob_sha256": str}
 _ENTRY_FIELDS = {"layer": int, "head": int, "role": str, "instances": int, "per_instance": int,
                  "dim": int}
 
@@ -331,7 +327,7 @@ def params_hash(blob: bytes) -> str:
 
 
 def save_cache(cache: ObservableCache, path) -> None:
-    """Write the documented binary format: magic, JSON header, matrix blob."""
+    """Write the documented binary format: magic, JSON header, float64 matrix blob."""
     entries = []
     blobs = []
     digest = hashlib.sha256()
@@ -341,15 +337,11 @@ def save_cache(cache: ObservableCache, path) -> None:
             inst, count, dim, _ = arr.shape
             entries.append({"layer": layer, "head": head, "role": role,
                             "instances": inst, "per_instance": count, "dim": dim})
-            blobs.append(np.ascontiguousarray(arr, dtype="<c16"))
+            blobs.append(np.ascontiguousarray(arr, dtype="<f8"))
             digest.update(blobs[-1])
     header = json.dumps({
-        "kind": cache.kind,
-        "n": cache.n,
-        "p": cache.p,
         "variant": cache.variant,
         "parameter_hash": cache.built_from,
-        "observables": list(cache.observables),
         "entries": entries,
         "blob_sha256": digest.hexdigest(),
     }).encode("utf-8")
@@ -376,29 +368,27 @@ def _check_fields(obj, fields: dict, bad) -> None:
 
 
 def _check_header(raw: bytes, blob_bytes: int, bad) -> dict:
-    """Parse a QOC1 header and check it against the blob size it announces."""
+    """Parse a QOC2 header: every key of ``_HEADER_FIELDS`` (others are
+    ignored), entries with positive sizes and consistent roles, and float64
+    matrices that fill exactly the ``blob_bytes`` after the header."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError:  # also UnicodeDecodeError
         raise bad("the header is not UTF-8 JSON") from None
     _check_fields(header, _HEADER_FIELDS, bad)
-    if not all(isinstance(o, str) for o in header["observables"]):
-        raise bad("'observables' must be a list of Pauli words")
-    n, total, roles = header["n"], 0, {}
+    total, roles = 0, {}
     for ent in header["entries"]:
         _check_fields(ent, _ENTRY_FIELDS, bad)
-        dim, role = ent["dim"], ent["role"]
+        role = ent["role"]
         if role not in _ROLES:
             raise bad(f"unknown role {role!r}")
-        if dim < 1 or dim & (dim - 1) or dim.bit_length() != n + 1:  # dim != 2**n
-            raise bad(f"entry dim {dim} does not match n={n} qubits")
-        if ent["instances"] < 1 or ent["per_instance"] < 1:
-            raise bad("an entry has a non-positive instance or observable count")
+        if ent["instances"] < 1 or ent["per_instance"] < 1 or ent["dim"] < 1:
+            raise bad("an entry has a non-positive instance count, observable count or dim")
         head_roles = roles.setdefault((ent["layer"], ent["head"]), set())
         if role in head_roles:
             raise bad(f"two {role} entries for layer {ent['layer']}, head {ent['head']}")
         head_roles.add(role)
-        total += 16 * ent["instances"] * ent["per_instance"] * dim * dim
+        total += 8 * ent["instances"] * ent["per_instance"] * ent["dim"] ** 2
     for (layer, head), head_roles in roles.items():
         if "value" not in head_roles or ("query" in head_roles) != ("key" in head_roles):
             raise bad(f"layer {layer}, head {head} has roles {sorted(head_roles)}")
@@ -408,14 +398,13 @@ def _check_header(raw: bytes, blob_bytes: int, bad) -> dict:
 
 
 def load_cache(path) -> ObservableCache:
-    """Read a QOC1 file into real coefficients.
+    """Read a QOC2 file into its frozen coefficient table.
 
     The header is checked against itself and against the file size before
-    any blob is read, and the matrices against the header's ``blob_sha256``
-    when it has one (files written before that key load without the check);
-    a malformed file, or a matrix with a non-finite entry, raises
-    ConfigError.  Files holding complex evolved observables U^dag P U load
-    as their real parts.
+    the blob is read, the blob against the header's ``blob_sha256``, and
+    every matrix for non-finite entries; a malformed file raises
+    ConfigError naming it.  A QOC1 file, the earlier complex128 layout, is
+    refused with the command that rebuilds it.
     """
 
     def bad(why):
@@ -426,7 +415,11 @@ def load_cache(path) -> ObservableCache:
     except OSError as exc:
         raise ConfigError(f"cannot read observable cache {path}: {exc}") from exc
     with fh:
-        if fh.read(4) != _MAGIC:
+        magic = fh.read(4)
+        if magic == b"QOC1":
+            raise ConfigError(f"{path} is a QOC1 observable cache, a format this version no longer reads; "
+                              f"rebuild it with `qisa-lab cache --checkpoint <checkpoint> --out {path}`")
+        if magic != _MAGIC:
             raise ConfigError(f"{path} is not an observable cache file")
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(8)
@@ -434,25 +427,21 @@ def load_cache(path) -> ObservableCache:
         if 12 + hlen > size:
             raise bad("the header runs past the end of the file")
         header = _check_header(fh.read(hlen), size - 12 - hlen, bad)
-        parts: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-        digest = hashlib.sha256()
-        for ent in header["entries"]:
-            shape = (ent["instances"], ent["per_instance"], ent["dim"], ent["dim"])
-            raw = fh.read(16 * math.prod(shape))
-            digest.update(raw)
-            arr = np.real(np.frombuffer(raw, dtype="<c16").reshape(shape))
-            if not np.isfinite(arr).all():
-                raise bad(f"the layer {ent['layer']}, head {ent['head']} {ent['role']} matrices "
-                          f"hold a non-finite entry")
-            parts.setdefault((ent["layer"], ent["head"]), {})[ent["role"]] = arr
-    if "blob_sha256" in header and digest.hexdigest() != header["blob_sha256"]:
+        blob = fh.read(size - 12 - hlen)  # with no size, read() grows its buffer: 10x slower at 3.5 MB
+    if hashlib.sha256(blob).hexdigest() != header["blob_sha256"]:
         raise bad("the matrices do not match the header's blob_sha256")
+    parts: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+    offset = 0
+    for ent in header["entries"]:
+        shape = (ent["instances"], ent["per_instance"], ent["dim"], ent["dim"])
+        arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset).reshape(shape)
+        offset += arr.nbytes
+        if not np.isfinite(arr).all():
+            raise bad(f"the layer {ent['layer']}, head {ent['head']} {ent['role']} matrices "
+                      f"hold a non-finite entry")
+        parts.setdefault((ent["layer"], ent["head"]), {})[ent["role"]] = arr
     return ObservableCache(
-        kind=header["kind"],
-        n=header["n"],
-        p=header["p"],
         variant=header["variant"],
         built_from=header["parameter_hash"],
-        observables=tuple(header["observables"]),
         evolved=MappingProxyType({key: frozen_roles(roles) for key, roles in parts.items()}),
     )

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qisa_lab.attention import VARIANTS, AttentionSpec, build_attention_weights, count_params
+from qisa_lab.attention import VARIANTS, AttentionSpec, AttentionWeights, count_params
 from qisa_lab.data import BUNDLED_CORPUS, build_vocab, load_corpus, split_dataset
 from qisa_lab.metrics import cer, wer
 from qisa_lab.model import LanguageModel, ModelConfig
@@ -66,7 +66,7 @@ def test_criterion_1_parameter_count_exactness():
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         spec = AttentionSpec(variant, m=m, H=H, l=16, p=p)
-                        w = build_attention_weights(spec, np.random.default_rng(0))
+                        w = AttentionWeights(spec, np.random.default_rng(0))
                     per_head = sum(t.size for name, t in w.named_parameters()
                                    if name.startswith("head0."))
                     assert per_head == count_params(spec), (variant, m, H, p)

@@ -6,11 +6,11 @@ from qisa_lab import attention
 from qisa_lab.attention import (
     VARIANTS,
     AttentionSpec,
+    AttentionWeights,
     _dot_attention,
     _lift,
     attention_forward,
     batched_quadratic_forms,
-    build_attention_weights,
     canonical_variant,
     causal_mask,
     count_params,
@@ -35,7 +35,7 @@ from qisa_lab.tensor import Tensor, normalize_rows
 
 def make_weights(variant, m=4, H=1, l=8, p=1, seed=0, **kw):
     spec = AttentionSpec(variant, m=m, H=H, l=l, p=p, **kw)
-    return build_attention_weights(spec, np.random.default_rng(seed))
+    return AttentionWeights(spec, np.random.default_rng(seed))
 
 
 def attend(x, w, mask):
@@ -401,7 +401,7 @@ class TestCountParams:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = AttentionSpec(variant, m=m, H=H, l=16, p=p)
-            w = build_attention_weights(spec, np.random.default_rng(0))
+            w = AttentionWeights(spec, np.random.default_rng(0))
         assert w.param_count() == total_attention_params(spec)
         per_head = sum(t.size for name, t in w.named_parameters() if name.startswith("head0."))
         assert per_head == count_params(spec)
@@ -464,11 +464,11 @@ class TestQisaBridge:
         assert np.abs(u.imag).max() < 1e-12
 
         spec_a = AttentionSpec("qisa_a", m=4, H=1, l=4, p=2)
-        wa = build_attention_weights(spec_a, np.random.default_rng(7))
+        wa = AttentionWeights(spec_a, np.random.default_rng(7))
         wa.theta[0].data[:] = theta
         wa.value_obs = select_observables(2, 4, "real_congruence")
         wa._lifted = {"value": _lift(wa.value_obs)}
-        wq = build_attention_weights(AttentionSpec("qisa", m=4, H=1, l=4), np.random.default_rng(7))
+        wq = AttentionWeights(AttentionSpec("qisa", m=4, H=1, l=4), np.random.default_rng(7))
         wq.wv_tilde[0].data[:] = u.real
         wq.wq[0].data[:] = wa.wq[0].data
         wq.wk[0].data[:] = wa.wk[0].data

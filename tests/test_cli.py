@@ -205,9 +205,10 @@ class TestEvalCommand:
          "layer 0, head 0, role 'key'"),
         ("qisa", lambda entries: {key: roles for key, roles in entries.items() if key != (1, 1)},
          "layer 1, head 1, role 'value'"),
-    ], ids=["qsann-one-instance", "qisa-with-query-key", "qisa-missing-entry"])
+        ("qisa", lambda entries: {**entries, (7, 3): entries[(0, 0)]}, "layer 7, head 3"),
+    ], ids=["qsann-one-instance", "qisa-with-query-key", "qisa-missing-entry", "qisa-extra-entry"])
     def test_cache_that_does_not_fit_exits_2(self, tmp_path, tiny_config, variant, edit, named, capsys):
-        """A QOC1 file edited so that its entries no longer fit the model
+        """A cache file edited so that its entries no longer fit the model
         keeps its hash and variant; eval refuses it, naming the entry."""
         from dataclasses import replace
         from types import MappingProxyType
@@ -279,6 +280,16 @@ class TestBadCheckpoint:
                    "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_generate_with_a_vocabulary_of_another_size_exits_2(self, tmp_path, capsys):
+        from qisa_lab.model import LanguageModel, ModelConfig
+
+        model = LanguageModel(ModelConfig(vocab_size=7, m=4, n_layers=1, l=8, variant="csa"))
+        model.save(tmp_path / "ck", vocab_chars=["a", "b"])
+        rc = main(["generate", "--checkpoint", str(tmp_path / "ck"), "--prompt", "ab", "--n-chars", "8"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "'vocab' must be a list of 7 characters" in err
 
     def test_manifest_errors_are_checkpoint_errors(self, tmp_path, tiny_config):
         from qisa_lab.errors import CheckpointError
@@ -590,7 +601,6 @@ class TestCacheCommand:
 
         cache = load_cache(cache_path)
         assert cache.variant == "qisa"
-        assert cache.kind == "congruence"
 
     def test_csa_not_applicable(self, tmp_path, tiny_corpus):
         cfg = {"model": {"variant": "csa", "m": 4, "H": 1, "n_layers": 1, "l": 8, "seed": 0},

@@ -1,22 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import struct
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from qisa_lab.attention import VARIANTS
+from qisa_lab.cli import main
 from qisa_lab.errors import CheckpointError, ConfigError, ContextOverflowError, ContractError
 from qisa_lab.model import LanguageModel, ModelConfig
-from qisa_lab.qsim import (
-    AnsatzParams,
-    ObservableCache,
-    hea_unitary,
-    load_cache,
-    pauli_matrix,
-    save_cache,
-)
+from qisa_lab.qsim import load_cache
 from qisa_lab.tensor import cross_entropy, no_grad
 
 
@@ -157,9 +152,9 @@ class TestCheckpoint:
         ids = rng.integers(0, 11, size=(2, 8))
         with no_grad():
             before = model.forward(ids).data
-        model.save(tmp_path / "ck", vocab_chars=["a", "b"])
+        model.save(tmp_path / "ck", vocab_chars=list("abcdefghijk"))
         loaded, vocab = LanguageModel.load(tmp_path / "ck")
-        assert vocab == ["a", "b"]
+        assert vocab == list("abcdefghijk")
         with no_grad():
             after = loaded.forward(ids).data
         np.testing.assert_array_equal(before, after)
@@ -210,46 +205,40 @@ class TestObservableCacheIntegration:
             assert np.abs(direct - cached).max() < 1e-10, variant
 
     @pytest.mark.parametrize("variant", ["qisa", "qisa_a", "qsann", "qsann_v1", "qsann_v2"])
-    def test_complex_cache_file_still_loads(self, variant, rng, tmp_path):
-        """A QOC1 file of complex evolved observables U^dag P U (W^T Re(P) W
-        for qisa), as files held before they held real coefficients, gives
-        the logits of the model's own cache."""
-        model = LanguageModel(tiny_config(variant=variant, n_layers=2, l=4, p=2))
-        spec = model.config.attention_spec()
-
-        def evolved(theta, observables):
-            u = hea_unitary(AnsatzParams(theta.data))
-            return np.stack([u.conj().T @ pauli_matrix(o) @ u for o in observables])
-
-        entries = {}
-        for layer, block in enumerate(model.blocks):
-            w = block.attn
-            if variant == "qisa":
-                wv = w.wv_tilde[0].data
-                value = np.stack([wv.T @ np.real(pauli_matrix(o)) @ wv for o in w.value_obs])
-                entries[(layer, 0)] = {"value": value[None].astype(complex)}
-            elif variant == "qisa_a":
-                entries[(layer, 0)] = {"value": evolved(w.theta[0], w.value_obs)[None]}
-            else:
-                roles = {"value": (w.theta_v[0], w.value_obs), "query": (w.theta_q[0], w.qk_obs),
-                         "key": (w.theta_k[0], w.qk_obs)}
-                entries[(layer, 0)] = {
-                    role: (np.stack([evolved(t, obs) for t in theta]) if variant == "qsann"
-                           else evolved(theta, obs)[None])
-                    for role, (theta, obs) in roles.items()}
-        assert variant == "qisa" or np.abs(entries[(0, 0)]["value"].imag).max() > 1e-3
-        old = ObservableCache(kind="congruence" if variant == "qisa" else "ansatz", n=spec.n_qubits,
-                              p=spec.p, variant=variant, built_from=model.parameter_hash(),
-                              observables=tuple(o.word for o in model.blocks[0].attn.value_obs),
-                              evolved=MappingProxyType(entries))
-        save_cache(old, tmp_path / "old.cache")
-        loaded = load_cache(tmp_path / "old.cache")
-        own = model.build_observable_cache()
-        ids = rng.integers(0, 11, size=(3, 4))
-        with no_grad():
-            from_file = model.forward(ids, cache=loaded).data
-            from_own = model.forward(ids, cache=own).data
-        assert np.abs(from_file - from_own).max() < 1e-10
+    def test_qoc1_cache_file_refused_by_eval(self, variant, tmp_path, capsys):
+        """A cache in the earlier QOC1 layout (complex128 matrices under a
+        seven-key header) is refused before any evaluation: eval --cache
+        exits 2 with a message that names the file and the cache command
+        that rebuilds it."""
+        text = "abcdefghij\n" * 40
+        (tmp_path / "corpus.txt").write_text(text)
+        model = LanguageModel(tiny_config(variant=variant, vocab_size=len(set(text))))
+        model.save(tmp_path / "ck", vocab_chars=sorted(set(text)),
+                   extra={"data": {"corpus": str(tmp_path / "corpus.txt")}})
+        cache = model.build_observable_cache()
+        entries, blobs = [], []
+        for (layer, head), roles in sorted(cache.evolved.items()):
+            for role in (r for r in ("value", "query", "key") if r in roles):
+                inst, count, dim, _ = roles[role].shape
+                entries.append({"layer": layer, "head": head, "role": role, "instances": inst,
+                                "per_instance": count, "dim": dim})
+                blobs.append(roles[role].astype("<c16").tobytes())
+        words = [o.word for o in model.blocks[0].attn.value_obs]
+        header = json.dumps({"kind": "congruence" if variant == "qisa" else "ansatz", "n": 2, "p": 1,
+                             "variant": variant, "parameter_hash": cache.built_from, "observables": words,
+                             "entries": entries, "blob_sha256": hashlib.sha256(b"".join(blobs)).hexdigest()})
+        header = header.encode("utf-8")
+        path = tmp_path / "old.cache"
+        path.write_bytes(b"QOC1" + struct.pack("<Q", len(header)) + header + b"".join(blobs))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(tmp_path / "ck"), "--cache", str(path), "--windows", "1",
+                   "--gen-chars", "1", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(path) in err and "qisa-lab cache --checkpoint" in err
+        with pytest.raises(ConfigError, match="QOC1"):
+            load_cache(path)
 
     def test_stale_cache_rejected(self, rng):
         from qisa_lab.errors import CacheMissError
@@ -283,6 +272,16 @@ class TestObservableCacheIntegration:
         edited = dataclasses.replace(cache, evolved=MappingProxyType(entries))
         with pytest.raises(CacheMissError, match=f"layer 1, head 1, role '{role}'"):
             model.forward(np.array([1, 2, 3]), cache=edited)
+
+    def test_cache_with_an_entry_the_model_lacks_rejected(self):
+        from qisa_lab.errors import CacheMissError
+
+        model = LanguageModel(tiny_config(variant="qisa", n_layers=2))
+        cache = model.build_observable_cache()
+        entries = {**cache.evolved, (7, 3): cache.evolved[(0, 0)]}
+        extra = dataclasses.replace(cache, evolved=MappingProxyType(entries))
+        with pytest.raises(CacheMissError, match="layer 7, head 3"):
+            model.forward(np.array([1, 2, 3]), cache=extra)
 
     def test_cache_of_another_variant_rejected(self):
         """qsann_v1 and qsann_v2 of one seed have the same parameters, so

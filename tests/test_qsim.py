@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff, rel_err
+from qisa_lab import qsim
 from qisa_lab.attention import _lift, batched_quadratic_forms, congruence
 from qisa_lab.errors import ConfigError, ContractError, DegenerateTokenError
 from qisa_lab.qsim import (
@@ -344,17 +345,16 @@ class TestCongruenceExpectation:
         assert rel_err(xt.grad, numeric) < 1e-4
 
 
-def build_cache(kind, per_head_maps, observables, *, variant="", p=0, built_from=""):
+def build_cache(per_head_maps, observables, *, variant="", built_from=""):
     """A cache of the coefficients A_k = S^T P~_k S of each head's fixed map:
-    S = [Re U; Im U] for a unitary (kind "ansatz"), S = W for a real map."""
-    lifted = _lift(observables, real=kind == "congruence")
+    S = [Re U; Im U] for a complex unitary U, S = W for a real map W."""
+    real = not any(np.iscomplexobj(mat) for mat in per_head_maps.values())
+    lifted = _lift(observables, real=real)
     entries = {}
     for key, mat in per_head_maps.items():
-        s = np.vstack([mat.real, mat.imag]) if kind == "ansatz" else mat
+        s = mat if real else np.vstack([mat.real, mat.imag])
         entries[key] = frozen_roles({"value": congruence(Tensor(s[None]), lifted).data})
-    return ObservableCache(kind=kind, n=observables[0].n, p=p, variant=variant, built_from=built_from,
-                           observables=tuple(o.word for o in observables),
-                           evolved=MappingProxyType(entries))
+    return ObservableCache(variant=variant, built_from=built_from, evolved=MappingProxyType(entries))
 
 
 def _assert_batched_forms_match_cache(cache, rng):
@@ -384,7 +384,7 @@ def _rewrite_header(path, edit):
 class TestObservableCache:
     def test_identity_evolution(self):
         obs = select_observables(2, 4, "unitary")
-        cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, obs)
+        cache = build_cache({(0, 0): np.eye(4, dtype=complex)}, obs)
         value = cache.evolved[(0, 0)]["value"]
         for k, o in enumerate(obs):
             np.testing.assert_allclose(value[0, k], pauli_matrix(o).real, atol=1e-15)
@@ -392,7 +392,7 @@ class TestObservableCache:
     def test_cached_matches_direct_simulation(self, rng):
         obs = select_observables(2, 6, "unitary")
         u = hea_unitary(AnsatzParams.random(rng, 2, 2))
-        cache = build_cache("ansatz", {(0, 0): u}, obs)
+        cache = build_cache({(0, 0): u}, obs)
         for _ in range(20):
             x = rng.normal(size=4)
             x /= np.linalg.norm(x)
@@ -401,12 +401,12 @@ class TestObservableCache:
                 assert abs(cached_expectation(x, cache, 0, 0, k) - direct) < 1e-10
         _assert_batched_forms_match_cache(cache, rng)
         u16 = hea_unitary(AnsatzParams.random(rng, 4, 1))
-        cache16 = build_cache("ansatz", {(0, 0): u16}, select_observables(4, 15, "unitary"))
+        cache16 = build_cache({(0, 0): u16}, select_observables(4, 15, "unitary"))
         _assert_batched_forms_match_cache(cache16, rng)
 
     def test_congruence_identity(self, rng):
         obs = select_observables(2, 4, "real_congruence")
-        cache = build_cache("congruence", {(0, 0): np.eye(4)}, obs)
+        cache = build_cache({(0, 0): np.eye(4)}, obs)
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
         for k, o in enumerate(obs):
@@ -417,7 +417,7 @@ class TestObservableCache:
     def test_congruence_random_map(self, rng):
         obs = select_observables(2, 4, "real_congruence")
         w = rng.normal(size=(4, 4))
-        cache = build_cache("congruence", {(0, 0): w}, obs)
+        cache = build_cache({(0, 0): w}, obs)
         for _ in range(20):
             x = rng.normal(size=4)
             x /= np.linalg.norm(x)
@@ -426,31 +426,23 @@ class TestObservableCache:
                 assert abs(cached_expectation(x, cache, 0, 0, k) - direct) < 1e-10
         _assert_batched_forms_match_cache(cache, rng)
         w16 = rng.normal(size=(16, 16)) / 4.0
-        cache16 = build_cache("congruence", {(0, 0): w16}, select_observables(4, 15, "real_congruence"))
+        cache16 = build_cache({(0, 0): w16}, select_observables(4, 15, "real_congruence"))
         _assert_batched_forms_match_cache(cache16, rng)
 
     def test_identity_cache_all_z(self):
         obs = [PauliString("ZZ")]
-        cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, obs)
+        cache = build_cache({(0, 0): np.eye(4, dtype=complex)}, obs)
         assert cached_expectation([1.0, 0, 0, 0], cache, 0, 0, 0) == 1.0
-
-    def test_dimension_mismatch(self, tmp_path):
-        cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex)}, [PauliString("ZZ")])
-        path = tmp_path / "cache.bin"
-        save_cache(cache, path)
-        _rewrite_header(path, lambda h: h.update(n=3))  # entries hold 4x4 matrices, 2**3 = 8
-        with pytest.raises(ConfigError, match="dim"):
-            load_cache(path)
 
     def test_hermiticity_preserved(self, rng):
         obs = select_observables(2, 4, "unitary")
         u = hea_unitary(AnsatzParams.random(rng, 2, 1))
-        cache = build_cache("ansatz", {(0, 0): u}, obs)
+        cache = build_cache({(0, 0): u}, obs)
         arr = cache.evolved[(0, 0)]["value"]
         assert np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))).max() < 1e-12
 
     def test_immutable(self, rng):
-        cache = build_cache("ansatz", {(0, 0): np.eye(2, dtype=complex)}, [PauliString("Z")])
+        cache = build_cache({(0, 0): np.eye(2, dtype=complex)}, [PauliString("Z")])
         with pytest.raises(ValueError):
             cache.evolved[(0, 0)]["value"][0, 0, 0, 0] = 5.0
         with pytest.raises(TypeError):
@@ -462,15 +454,12 @@ class TestObservableCache:
         obs = select_observables(2, 5, "unitary")
         u1 = hea_unitary(AnsatzParams.random(rng, 2, 2))
         u2 = hea_unitary(AnsatzParams.random(rng, 2, 2))
-        cache = build_cache("ansatz", {(0, 0): u1, (1, 0): u2}, obs,
-                            variant="qisa_a", p=2, built_from="deadbeef")
+        cache = build_cache({(0, 0): u1, (1, 0): u2}, obs, variant="qisa_a", built_from="deadbeef")
         path = tmp_path / "cache.bin"
         save_cache(cache, path)
         loaded = load_cache(path)
-        assert loaded.kind == "ansatz"
         assert loaded.variant == "qisa_a"
         assert loaded.built_from == "deadbeef"
-        assert loaded.observables == cache.observables
         for key in cache.evolved:
             np.testing.assert_array_equal(loaded.evolved[key]["value"], cache.evolved[key]["value"])
 
@@ -486,7 +475,7 @@ class TestCacheFileChecks:
 
     @pytest.fixture
     def cache_file(self, tmp_path):
-        cache = build_cache("ansatz", {(0, 0): np.eye(4, dtype=complex), (1, 0): np.eye(4, dtype=complex)},
+        cache = build_cache({(0, 0): np.eye(4, dtype=complex), (1, 0): np.eye(4, dtype=complex)},
                             select_observables(2, 3, "unitary"), built_from="abc")
         path = tmp_path / "cache.bin"
         save_cache(cache, path)
@@ -518,8 +507,9 @@ class TestCacheFileChecks:
         (lambda h: h["entries"][0].update(role="bias"), "role"),
         (lambda h: h["entries"][1].update(role="query"), "roles"),
         (lambda h: h["entries"][1].update(layer=0), "two value entries"),
-        (lambda h: h.update(observables=[1, 2]), "observables"),
-        (lambda h: h.update(n="2"), "'n'"),
+        (lambda h: h.pop("blob_sha256"), "blob_sha256"),
+        (lambda h: h["entries"][0].update(dim=0), "non-positive"),
+        (lambda h: h["entries"][0].update(dim=8), "bytes"),  # the entries hold 4x4 matrices
     ])
     def test_bad_header(self, cache_file, edit, match):
         _rewrite_header(cache_file, edit)
@@ -536,6 +526,26 @@ class TestCacheFileChecks:
         header = json.loads(data[12:12 + hlen])
         assert header["blob_sha256"] == hashlib.sha256(data[12 + hlen:]).hexdigest()
 
+    def test_written_header_keys_are_the_required_ones(self, cache_file):
+        """save_cache writes exactly the header keys load_cache requires:
+        each one it writes is refused when dropped, and there are no others."""
+        data = cache_file.read_bytes()
+        (hlen,) = struct.unpack("<Q", data[4:12])
+        written = set(json.loads(data[12:12 + hlen]))
+        assert written == set(qsim._HEADER_FIELDS)
+        for key in written:
+            cache_file.write_bytes(data)
+            _rewrite_header(cache_file, lambda h: h.pop(key))
+            with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+                load_cache(cache_file)
+
+    def test_blob_is_the_table_as_little_endian_float64(self, cache_file):
+        data = cache_file.read_bytes()
+        (hlen,) = struct.unpack("<Q", data[4:12])
+        loaded = load_cache(cache_file)
+        table = np.concatenate([loaded.evolved[key]["value"].ravel() for key in sorted(loaded.evolved)])
+        assert data[12 + hlen:] == table.astype("<f8").tobytes()
+
     def test_flipped_blob_byte(self, cache_file):
         data = bytearray(cache_file.read_bytes())
         data[-3] ^= 0x01  # the last mantissa bits but one of the last matrix entry
@@ -543,19 +553,11 @@ class TestCacheFileChecks:
         with pytest.raises(ConfigError, match=re.escape(str(cache_file)) + ".*blob_sha256"):
             load_cache(cache_file)
 
-    def test_file_without_blob_sha256_still_loads(self, cache_file):
-        expect = load_cache(cache_file)
-        _rewrite_header(cache_file, lambda h: h.pop("blob_sha256"))
-        loaded = load_cache(cache_file)
-        for key, roles in expect.evolved.items():
-            np.testing.assert_array_equal(loaded.evolved[key]["value"], roles["value"])
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry(self, tmp_path, bad):
         arr = np.zeros((1, 3, 4, 4))
         arr[0, 2, 1, 3] = bad
-        cache = ObservableCache(kind="ansatz", n=2, p=1, variant="qisa_a", built_from="abc",
-                                observables=("ZZ", "XX", "YY"), evolved={(0, 0): frozen_roles({"value": arr})})
+        cache = ObservableCache(variant="qisa_a", built_from="abc", evolved={(0, 0): frozen_roles({"value": arr})})
         path = tmp_path / "cache.bin"
         save_cache(cache, path)  # a matching blob_sha256: only the finiteness check refuses it
         with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*non-finite"):
