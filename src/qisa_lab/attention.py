@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .qsim import PauliString, hea_unitary_tensors, pauli_matrix, select_observables
 from .tensor import (
     Tensor,
@@ -51,7 +51,6 @@ from .tensor import (
     matmul,
     normalize_rows,
     reshape,
-    softmax_rows,
     swap_last,
 )
 
@@ -351,27 +350,73 @@ def quadratic_features(x: Tensor, a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# the attention op
 # ---------------------------------------------------------------------------
 
 
-def _dot_attention(q: Tensor, k: Tensor, scale: float, mask: np.ndarray) -> Tensor:
-    scores = matmul(q, swap_last(k)) * scale
-    return softmax_rows(scores + Tensor(mask))
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, kernel: str) -> Tensor:
+    """Tape op: softmax(S + mask) @ v for queries, keys and values [.., l, d].
 
+    The kernel gives the scores: "dot" S = q k^T / sqrt(d), "gaussian"
+    S_ij = -||q_i - k_j||^2, so that A_ij = exp(-||q_i - k_j||^2) normalized
+    over j <= i.  The additive mask zeroes the upper triangle before the
+    normalization, so each row is a distribution over the causal prefix.
 
-def gaussian_attention(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
-    """Kernel attention A_ij = exp(-||q_i - k_j||^2) over features [.., l, K],
-    normalized over j <= i.
-
-    The additive mask zeroes the upper triangle before normalization, so
-    each row is a distribution over the causal prefix.
+    One node holds the scores, mask, softmax and weighted sum; the forward
+    and the hand-written backward repeat the operation order of the
+    chain of matmul, scale, add, softmax_rows and matmul ops (for the
+    Gaussian kernel the sum of diff * diff), so outputs and gradients are
+    bit for bit those of that chain.
     """
-    if q.shape != k.shape:
-        raise ShapeError("query and key features must have the same shape")
-    l, d = q.shape[-2], q.shape[-1]
-    diff = reshape(q, q.shape[:-2] + (l, 1, d)) - reshape(k, k.shape[:-2] + (1, l, d))
-    return softmax_rows((diff * diff).sum(axis=-1) * -1.0 + Tensor(mask))
+    if q.shape != k.shape or q.ndim < 2:
+        raise ShapeError(f"query and key features must have the same shape, got {q.shape} and {k.shape}")
+    if v.shape[:-1] != q.shape[:-1]:
+        raise ShapeError(f"values of shape {v.shape} do not fit queries of shape {q.shape}")
+    if kernel == "dot":
+        scale = 1.0 / math.sqrt(q.shape[-1])
+        p = q.data @ np.swapaxes(k.data, -1, -2)
+        p *= scale
+    else:
+        diff = q.data[..., :, None, :] - k.data[..., None, :, :]
+        p = (diff * diff).sum(axis=-1)
+        p *= -1.0
+    p += mask
+    if np.isnan(p).any():
+        raise NumericError("attention scores contain NaN")
+    hi = np.max(p, axis=-1, keepdims=True)
+    p -= np.where(np.isfinite(hi), hi, 0.0)
+    np.exp(p, out=p)
+    z = p.sum(axis=-1, keepdims=True)
+    np.divide(p, z, out=p, where=z > 0)  # a row with z = 0 is all zeros already
+
+    def backward_fn(g):
+        if v.requires_grad:
+            _accum(v, np.swapaxes(p, -1, -2) @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gp = g @ np.swapaxes(v.data, -1, -2)
+        gs = gp * p  # softmax: (gp - sum(gp p)) p
+        dot = gs.sum(axis=-1, keepdims=True)
+        np.subtract(gp, dot, out=gs)
+        gs *= p
+        if kernel == "dot":
+            gs *= scale
+            if q.requires_grad:
+                _accum(q, gs @ k.data)
+            if k.requires_grad:  # (q^T gs)^T, as the chain's transposed k received it
+                _accum(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2))
+            return
+        gs *= -1.0
+        gd = gs[..., None] * diff
+        gd += gd  # d(diff * diff) = g diff + g diff
+        if q.requires_grad:
+            _accum(q, gd.sum(axis=-2))
+        if k.requires_grad:
+            gk = gd.sum(axis=-3)
+            gk *= -1.0
+            _accum(k, gk)
+
+    return _make(p @ v.data, (q, k, v), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +445,8 @@ def attention_forward(x: Tensor, w: AttentionWeights, mask: np.ndarray,
         a = {} if coeffs is None else coeffs[j]
         q, k, v = (quadratic_features(xn, a[role]) if role in a else matmul(x3, getattr(w, name)[j])
                    for role, (name, _) in w.roles.items())
-        if spec.kernel == "dot":
-            attn = _dot_attention(q, k, 1.0 / math.sqrt(q.shape[-1]), mask)
-        else:
-            attn = gaussian_attention(q, k, mask)
-        heads.append(matmul(attn, v))
-    out = concat(heads, axis=-1)
+        heads.append(causal_attention(q, k, v, mask, spec.kernel))
+    out = heads[0] if spec.H == 1 else concat(heads, axis=-1)
     if spec.uses_wo:
         out = matmul(out, w.wo)
     return reshape(out, out.shape[1:]) if x.ndim == 2 else out

@@ -342,7 +342,7 @@ def cmd_bench(args) -> int:
     import numpy as np
 
     from .model import LanguageModel, ModelConfig
-    from .tensor import no_grad
+    from .tensor import cross_entropy, graph_nodes, no_grad
     from .training import Adam, train_step
 
     if args.steps < 1 or args.warmup < 0 or args.batch < 1:
@@ -361,6 +361,8 @@ def cmd_bench(args) -> int:
                                           p=args.p, seed=0))
         ids = rng.integers(0, vocab_size, size=(args.batch, 16))
         targets = rng.integers(0, vocab_size, size=(args.batch, 16))
+        loss = cross_entropy(model.forward(ids, training=True).reshape(-1, vocab_size), targets.reshape(-1))
+        rows.append((variant, "train", "graph_nodes", graph_nodes(loss)))
 
         opt = Adam(model.named_parameters())
         rows += _timed(variant, {"train": lambda: train_step(model, opt, ids, targets, 1.0)},
@@ -391,6 +393,8 @@ def cmd_bench(args) -> int:
     for variant, phase, stat, value in rows:
         if stat == "median_s":
             print(f"{variant:<10} {phase:<14} {value * 1e3:8.2f} ms/step")
+        elif stat == "graph_nodes":
+            print(f"{variant:<10} {phase:<14} {value:8d} graph nodes")
     print(f"wrote {csv_path}")
     return 0
 

@@ -402,9 +402,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     m = a.shape[-1]
     if gain.shape != (m,) or bias.shape != (m,):
         raise ShapeError(f"layer_norm affine parameters must have shape ({m},)")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # each mean is a sum and a division by m, as ndarray.mean computes it, at
+    # less per-call overhead
+    mu = a.data.sum(axis=-1, keepdims=True)
+    mu /= m
     xhat = a.data - mu
-    var = (xhat**2).mean(axis=-1, keepdims=True)
+    var = (xhat**2).sum(axis=-1, keepdims=True)
+    var /= m
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     data = xhat * gain.data
@@ -419,8 +423,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             # (dxhat - mean(dxhat) - xhat mean(dxhat xhat)) inv, dxhat = g gain
             dxhat = g * gain.data
             dxx = dxhat * xhat
-            mean_dx = dxhat.mean(axis=-1, keepdims=True)
-            mean_dxx = dxx.mean(axis=-1, keepdims=True)
+            mean_dx = dxhat.sum(axis=-1, keepdims=True)
+            mean_dx /= m
+            mean_dxx = dxx.sum(axis=-1, keepdims=True)
+            mean_dxx /= m
             dxhat -= mean_dx
             np.multiply(xhat, mean_dxx, out=dxx)
             dxhat -= dxx
@@ -514,6 +520,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
         for parent in node._parents:
             stack.append((parent, False))
     return order
+
+
+def graph_nodes(root: Tensor) -> int:
+    """The number of tensors in ``root``'s recorded graph, ``root`` and constants included."""
+    return len(_toposort(root))
 
 
 def backward(loss: Tensor) -> None:

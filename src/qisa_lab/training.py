@@ -266,8 +266,9 @@ def evaluate_cer_wer(
 
     Each window supplies a context-sized prompt; the model generates
     ``gen_chars`` characters that are scored against the true
-    continuation.  Means and stds are taken across windows.  With a
-    ``cache`` the generation runs on the evolved-observable cache.
+    continuation.  Means and stds are taken across windows; WER over the
+    windows whose reference holds a word, at least one of which must.
+    With a ``cache`` the generation runs on the evolved-observable cache.
     """
     for flag, count in (("--windows", n_windows), ("--gen-chars", gen_chars)):
         if count < 1:
@@ -281,6 +282,10 @@ def evaluate_cer_wer(
     starts = np.unique(np.linspace(0, max_start, n_windows).astype(int))
     prompts = np.stack([test_ids[s : s + l] for s in starts])
     refs = [vocab.decode(test_ids[s + l : s + span]) for s in starts]
+    if not any(ref.split() for ref in refs):
+        raise InsufficientDataError(
+            f"none of the {len(refs)} reference continuations of {gen_chars} characters holds a word, "
+            f"so WER is undefined; raise --windows or --gen-chars")
     hyps_ids = _generate_batch(model, prompts, gen_chars, "greedy", 1.0, 0, cache=cache)
     cers, wers = [], []
     for ref, hyp_ids in zip(refs, hyps_ids):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,18 @@ from qisa_lab.attention import (
     VARIANTS,
     AttentionSpec,
     AttentionWeights,
-    _dot_attention,
     _lift,
     attention_forward,
     batched_quadratic_forms,
     canonical_variant,
+    causal_attention,
     causal_mask,
     count_params,
-    gaussian_attention,
     output_projection_params,
     quadratic_features,
     total_attention_params,
 )
-from qisa_lab.errors import ConfigError, ShapeError
+from qisa_lab.errors import ConfigError, NumericError, ShapeError
 from qisa_lab.model import LanguageModel, ModelConfig
 from qisa_lab.qsim import (
     AnsatzParams,
@@ -30,7 +31,16 @@ from qisa_lab.qsim import (
     pauli_matrix,
     select_observables,
 )
-from qisa_lab.tensor import Tensor, normalize_rows
+from qisa_lab.tensor import (
+    Tensor,
+    _toposort,
+    cross_entropy,
+    matmul,
+    normalize_rows,
+    reshape,
+    softmax_rows,
+    swap_last,
+)
 
 
 def make_weights(variant, m=4, H=1, l=8, p=1, seed=0, **kw):
@@ -41,6 +51,24 @@ def make_weights(variant, m=4, H=1, l=8, p=1, seed=0, **kw):
 def attend(x, w, mask):
     """One attention forward with the layer's coefficients built on the tape."""
     return attention_forward(x, w, mask, w.coefficients())
+
+
+def attention_weights(q, k, mask, kernel="dot"):
+    """The attention weights of the op, read through an identity value matrix."""
+    eye = np.broadcast_to(np.eye(q.shape[-2]), q.shape[:-1] + (q.shape[-2],))
+    return causal_attention(q, k, Tensor(eye), mask, kernel).data
+
+
+def reference_attention(q, k, v, mask, kernel):
+    """The composite chain the op fuses: scores, scale (dot) or negated
+    squared distance (Gaussian), mask, softmax_rows, then the weighted sum."""
+    if kernel == "dot":
+        scores = matmul(q, swap_last(k)) * (1.0 / math.sqrt(q.shape[-1]))
+    else:
+        l, d = q.shape[-2], q.shape[-1]
+        diff = reshape(q, q.shape[:-2] + (l, 1, d)) - reshape(k, k.shape[:-2] + (1, l, d))
+        scores = (diff * diff).sum(axis=-1) * -1.0
+    return matmul(softmax_rows(scores + Tensor(mask)), v)
 
 
 def features(w, x, role="value", head=0):
@@ -90,7 +118,7 @@ class TestCausalMask:
     def test_row_i_attends_prefix_only(self, rng):
         q = Tensor(rng.normal(size=(1, 5, 3)))
         k = Tensor(rng.normal(size=(1, 5, 3)))
-        a = _dot_attention(q, k, 1.0, causal_mask(5)).data[0]
+        a = attention_weights(q, k, causal_mask(5))[0]
         assert (a[np.triu_indices(5, k=1)] == 0).all()
         np.testing.assert_allclose(a.sum(axis=-1), np.ones(5), atol=1e-12)
 
@@ -107,7 +135,7 @@ class TestCSA:
     def test_identical_tokens_uniform_attention(self, rng):
         row = rng.normal(size=3)
         q = Tensor(np.tile(row, (4, 1))[None])
-        a = _dot_attention(q, q, 1.0, causal_mask(4)).data[0]
+        a = attention_weights(q, q, causal_mask(4))[0]
         for i in range(4):
             np.testing.assert_allclose(a[i, : i + 1], np.full(i + 1, 1 / (i + 1)), atol=1e-12)
 
@@ -261,25 +289,25 @@ class TestGaussianAttention:
 
     def test_equal_scores_uniform_prefix(self):
         q = Tensor(np.ones((1, 4, 1)) * 0.3)
-        a = gaussian_attention(q, q, causal_mask(4)).data[0]
+        a = attention_weights(q, q, causal_mask(4), "gaussian")[0]
         for i in range(4):
             np.testing.assert_allclose(a[i, : i + 1], np.full(i + 1, 1 / (i + 1)), atol=1e-12)
             np.testing.assert_allclose(a[i, i + 1 :], 0.0)
 
     def test_single_position(self):
-        a = gaussian_attention(Tensor([[[2.0]]]), Tensor([[[5.0]]]), causal_mask(1))
-        np.testing.assert_allclose(a.data, [[[1.0]]])
+        a = attention_weights(Tensor([[[2.0]]]), Tensor([[[5.0]]]), causal_mask(1), "gaussian")
+        np.testing.assert_allclose(a, [[[1.0]]])
 
     def test_rows_sum_to_one(self, rng):
         q = Tensor(rng.normal(size=(2, 6, 1)))
         k = Tensor(rng.normal(size=(2, 6, 1)))
-        a = gaussian_attention(q, k, causal_mask(6)).data
+        a = attention_weights(q, k, causal_mask(6), "gaussian")
         np.testing.assert_allclose(a.sum(axis=-1), np.ones((2, 6)), atol=1e-12)
 
     def test_matches_kernel_formula(self, rng):
         q = rng.normal(size=(1, 5, 1))
         k = rng.normal(size=(1, 5, 1))
-        a = gaussian_attention(Tensor(q), Tensor(k), causal_mask(5)).data[0]
+        a = attention_weights(Tensor(q), Tensor(k), causal_mask(5), "gaussian")[0]
         for i in range(5):
             weights = np.exp(-((q[0, i, 0] - k[0, : i + 1, 0]) ** 2))
             np.testing.assert_allclose(a[i, : i + 1], weights / weights.sum(), atol=1e-12)
@@ -287,12 +315,88 @@ class TestGaussianAttention:
     def test_matches_vector_kernel_formula(self, rng):
         q = rng.normal(size=(2, 5, 3))
         k = rng.normal(size=(2, 5, 3))
-        a = gaussian_attention(Tensor(q), Tensor(k), causal_mask(5)).data
+        a = attention_weights(Tensor(q), Tensor(k), causal_mask(5), "gaussian")
         for b in range(2):
             for i in range(5):
                 weights = np.exp(-((q[b, i] - k[b, : i + 1]) ** 2).sum(axis=-1))
                 np.testing.assert_allclose(a[b, i, : i + 1], weights / weights.sum(), atol=1e-12)
                 np.testing.assert_allclose(a[b, i, i + 1 :], 0.0)
+
+
+class TestCausalAttention:
+    """The fused op against the composite chain it replaces."""
+
+    CASES = [("dot", 4), ("dot", 16), ("gaussian", 1), ("gaussian", 16)]
+
+    @staticmethod
+    def run(op, q0, k0, v0, weights, kernel):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+        out = op(q, k, v, causal_mask(q0.shape[-2]), kernel)
+        (out * Tensor(weights)).sum().backward()
+        return out.data, q.grad, k.grad, v.grad
+
+    @pytest.mark.parametrize("kernel,d", CASES)
+    def test_bit_identical_to_composite(self, kernel, d, rng):
+        q0, k0 = rng.normal(size=(3, 6, d)), rng.normal(size=(3, 6, d))
+        v0 = rng.normal(size=(3, 6, 5))
+        weights = rng.normal(size=(3, 6, 5))
+        fused = self.run(causal_attention, q0, k0, v0, weights, kernel)
+        reference = self.run(reference_attention, q0, k0, v0, weights, kernel)
+        for name, got, expect in zip(("out", "dq", "dk", "dv"), fused, reference):
+            assert got.shape == expect.shape and np.array_equal(got, expect), name
+
+    @pytest.mark.parametrize("kernel,d", CASES)
+    def test_gradients_match_finite_differences(self, kernel, d, rng):
+        q0, k0 = rng.normal(size=(2, 4, d)) * 0.5, rng.normal(size=(2, 4, d)) * 0.5
+        v0 = rng.normal(size=(2, 4, 3))
+        weights = rng.normal(size=(2, 4, 3))
+        mask = causal_mask(4)
+        _, dq, dk, dv = self.run(causal_attention, q0, k0, v0, weights, kernel)
+
+        def loss(q, k, v):
+            return (causal_attention(Tensor(q), Tensor(k), Tensor(v), mask, kernel) * Tensor(weights)).sum().item()
+
+        assert rel_err(dq, finite_diff(lambda a: loss(a, k0, v0), q0.copy())) < 1e-8
+        assert rel_err(dk, finite_diff(lambda a: loss(q0, a, v0), k0.copy())) < 1e-8
+        assert rel_err(dv, finite_diff(lambda a: loss(q0, k0, a), v0.copy())) < 1e-8
+
+    @pytest.mark.parametrize("kernel", ["dot", "gaussian"])
+    @pytest.mark.parametrize("k_shape,v_shape", [((1, 4, 2), (1, 4, 5)), ((1, 3, 3), (1, 4, 5)),
+                                                 ((2, 4, 3), (1, 4, 5)), ((1, 4, 3), (1, 3, 5))],
+                             ids=["feature-size", "length", "batch", "values"])
+    def test_shape_mismatch(self, kernel, k_shape, v_shape):
+        with pytest.raises(ShapeError):
+            causal_attention(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros(k_shape)),
+                             Tensor(np.zeros(v_shape)), causal_mask(4), kernel)
+
+    @pytest.mark.parametrize("kernel", ["dot", "gaussian"])
+    def test_nan_score_raises(self, kernel, rng):
+        q = rng.normal(size=(1, 4, 2))
+        q[0, 2, 1] = np.nan
+        with pytest.raises(NumericError):
+            causal_attention(Tensor(q), Tensor(rng.normal(size=(1, 4, 2))), Tensor(np.eye(4)[None]),
+                             causal_mask(4), kernel)
+
+
+class TestGraphShape:
+    """One training forward records one attention node per layer and head."""
+
+    @pytest.mark.parametrize("H", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_node_per_layer_and_head(self, variant, H):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = LanguageModel(ModelConfig(vocab_size=5, m=4, H=H, n_layers=2, l=4, variant=variant))
+        ids = np.arange(8).reshape(2, 4) % 5
+        logits = model.forward(ids, training=True)
+        loss = cross_entropy(logits.reshape(-1, 5), ids.reshape(-1))
+        ops = [node._backward_fn.__qualname__ for node in _toposort(loss) if node._backward_fn is not None]
+        assert sum(op.startswith("causal_attention") for op in ops) == 2 * H
+        assert not any(op.startswith("softmax_rows") for op in ops)
+        # a single head's output is the layer's attention output, with no concat
+        assert sum(op.startswith("concat") for op in ops) == (0 if H == 1 else 2)
 
 
 class TestQSANNFamily:

@@ -7,6 +7,8 @@ import pytest
 
 from qisa_lab.cli import main, preset_config, write_loss_svg, write_rows_csv
 from qisa_lab.errors import ConfigError
+from qisa_lab.model import LanguageModel, ModelConfig
+from qisa_lab.tensor import cross_entropy, graph_nodes
 
 
 @pytest.fixture
@@ -147,6 +149,17 @@ class TestEvalCommand:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         for key in ("ce_mean", "ce_std", "cer_mean", "wer_mean"):
             assert key in metrics
+
+    def test_no_word_in_any_reference_exits_2(self, tmp_path, tiny_config, capsys):
+        out_dir = run_train(tmp_path, tiny_config)
+        corpus = tmp_path / "blank.txt"
+        corpus.write_text("the rose" + " " * 400)  # its test split is all spaces
+        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint"), "--corpus", str(corpus),
+                   "--windows", "2", "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "WER" in err and "--windows" in err and "--gen-chars" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_eval_uses_corpus_recorded_in_checkpoint(self, tmp_path, tiny_config):
         out_dir = run_train(tmp_path, tiny_config)
@@ -615,11 +628,12 @@ class TestCacheCommand:
 
 
 class TestBenchCommand:
-    def test_csv_schema_and_rows(self, tmp_path):
+    def test_csv_schema_and_rows(self, tmp_path, capsys):
         rc = main(["bench", "--variants", "csa,qisa", "--m", "4", "--layers", "1",
                    "--batch", "4", "--warmup", "1", "--steps", "2",
                    "--out-dir", str(tmp_path / "bench")])
         assert rc == 0
+        printed = capsys.readouterr().out
         with open(tmp_path / "bench" / "bench.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["variant", "phase", "stat", "value"]
@@ -628,6 +642,15 @@ class TestBenchCommand:
                 ("qisa", "infer"), ("qisa", "infer_cached")} <= seen
         for row in rows[1:]:
             float(row[3])
+        # one graph_nodes row per variant: the tensors in one training loss's graph
+        nodes = {r[0]: r[3] for r in rows[1:] if r[2] == "graph_nodes"}
+        assert [r[1] for r in rows[1:] if r[2] == "graph_nodes"] == ["train", "train"]
+        for variant in ("csa", "qisa"):
+            model = LanguageModel(ModelConfig(vocab_size=59, m=4, n_layers=1, l=16, variant=variant))
+            ids = np.zeros((4, 16), dtype=int)
+            loss = cross_entropy(model.forward(ids, training=True).reshape(-1, 59), ids.reshape(-1))
+            assert nodes[variant] == str(graph_nodes(loss))
+            assert f"{variant:<10} {'train':<14} {nodes[variant]:>8} graph nodes" in printed
 
     @pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--warmup", "-1"), ("--batch", "0")])
     def test_bad_counts(self, tmp_path, flag, value, capsys):

@@ -420,3 +420,11 @@ class TestEvaluateCerWer:
         vocab = Vocab(tuple("ab"))
         with pytest.raises(InsufficientDataError):
             evaluate_cer_wer(model, np.zeros(50, dtype=int), vocab, n_windows=100, gen_chars=64)
+
+    def test_no_word_in_any_reference(self):
+        """WER is undefined when every reference continuation is whitespace."""
+        text = "ab" + " \n" * 60
+        vocab = Vocab.from_text(text)
+        model = tiny_model(vocab_size=vocab.size)
+        with pytest.raises(InsufficientDataError, match="--windows.*--gen-chars"):
+            evaluate_cer_wer(model, vocab.encode(text), vocab, n_windows=3, gen_chars=4)
