@@ -362,24 +362,27 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, kernel: 
     over j <= i.  The additive mask zeroes the upper triangle before the
     normalization, so each row is a distribution over the causal prefix.
 
-    One node holds the scores, mask, softmax and weighted sum; the forward
-    and the hand-written backward repeat the operation order of the
-    chain of matmul, scale, add, softmax_rows and matmul ops (for the
-    Gaussian kernel the sum of diff * diff), so outputs and gradients are
-    bit for bit those of that chain.
+    Both kernels take one score path, q k^T times a scale.  The Gaussian
+    kernel expands -||q_i - k_j||^2 = 2 q_i.k_j - |k_j|^2 - |q_i|^2: its
+    scale is 2, it subtracts the key-norm bias |k_j|^2, and it drops the
+    row constant |q_i|^2, which the softmax over j cancels.
+
+    One node holds the scores, mask, softmax and weighted sum.  For the dot
+    kernel the forward and the hand-written backward repeat the operation
+    order of the chain of matmul, scale, add, softmax_rows and matmul ops,
+    so outputs and gradients are bit for bit those of that chain; Gaussian
+    outputs and gradients agree with the chain's difference form to rounding.
     """
     if q.shape != k.shape or q.ndim < 2:
         raise ShapeError(f"query and key features must have the same shape, got {q.shape} and {k.shape}")
     if v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"values of shape {v.shape} do not fit queries of shape {q.shape}")
-    if kernel == "dot":
-        scale = 1.0 / math.sqrt(q.shape[-1])
-        p = q.data @ np.swapaxes(k.data, -1, -2)
-        p *= scale
-    else:
-        diff = q.data[..., :, None, :] - k.data[..., None, :, :]
-        p = (diff * diff).sum(axis=-1)
-        p *= -1.0
+    gaussian = kernel == "gaussian"
+    scale = 2.0 if gaussian else 1.0 / math.sqrt(q.shape[-1])
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
+    if gaussian:
+        p -= (k.data * k.data).sum(axis=-1)[..., None, :]
     p += mask
     if np.isnan(p).any():
         raise NumericError("attention scores contain NaN")
@@ -399,22 +402,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, kernel: 
         dot = gs.sum(axis=-1, keepdims=True)
         np.subtract(gp, dot, out=gs)
         gs *= p
-        if kernel == "dot":
-            gs *= scale
-            if q.requires_grad:
-                _accum(q, gs @ k.data)
-            if k.requires_grad:  # (q^T gs)^T, as the chain's transposed k received it
-                _accum(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2))
-            return
-        gs *= -1.0
-        gd = gs[..., None] * diff
-        gd += gd  # d(diff * diff) = g diff + g diff
+        gs *= scale
         if q.requires_grad:
-            _accum(q, gd.sum(axis=-2))
-        if k.requires_grad:
-            gk = gd.sum(axis=-3)
-            gk *= -1.0
-            _accum(k, gk)
+            _accum(q, gs @ k.data)
+        if k.requires_grad:  # (q^T gs)^T, as the chain's transposed k received it
+            dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2)
+            if gaussian:  # the key-norm bias
+                dk -= gs.sum(axis=-2)[..., :, None] * k.data
+            _accum(k, dk)
 
     return _make(p @ v.data, (q, k, v), backward_fn)
 

@@ -12,15 +12,15 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import CheckpointError, ConfigError, QisaLabError
+from .training import TrainConfig
 
 
-DEFAULT_TRAIN = {"epochs": 1, "batch": 256, "lr": 3e-3, "betas": [0.9, 0.999],
-                 "eps": 1e-8, "grad_clip": 1.0, "eval_every": 50, "seed": 0}
-FULL_TRAIN = {"epochs": 2, "batch": 1024, "lr": 3e-3, "betas": [0.9, 0.999],
-              "eps": 1e-8, "grad_clip": 1.0, "eval_every": 200, "seed": 0}
+DEFAULT_TRAIN = asdict(TrainConfig())
+FULL_TRAIN = {**DEFAULT_TRAIN, "epochs": 2, "batch": 1024, "eval_every": 200}
 
 _PRESET_SHAPES = {
     "emb4-h1": {"m": 4, "H": 1},
@@ -193,7 +193,7 @@ def write_loss_svg(rows, path: Path, width=720, height=400) -> None:
 
 def cmd_train(args) -> int:
     from .model import LanguageModel, ModelConfig
-    from .training import TrainConfig, evaluate_ce, train
+    from .training import evaluate_ce, train
 
     cfg = load_config(args)
     out_dir = Path(args.out_dir)

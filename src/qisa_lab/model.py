@@ -15,13 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import qsim
-from .attention import (
-    AttentionSpec,
-    AttentionWeights,
-    attention_forward,
-    causal_mask,
-    total_attention_params,
-)
+from .attention import AttentionSpec, AttentionWeights, attention_forward, causal_mask
 from .errors import CacheMissError, CheckpointError, ConfigError, ContextOverflowError, ContractError
 from .qsim import ObservableCache
 from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_grad, pack, reshape
@@ -172,13 +166,6 @@ class LanguageModel:
 
     def total_param_count(self) -> int:
         return sum(t.size for t in self.parameters())
-
-    def attention_param_count_per_layer(self) -> int:
-        count = self.blocks[0].attn.param_count()
-        expected = total_attention_params(self.config.attention_spec())
-        if count != expected:
-            raise ContractError(f"attention has {count} parameters per layer, its formula gives {expected}")
-        return count
 
     def parameter_blob(self) -> bytes:
         return b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()

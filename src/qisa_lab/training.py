@@ -22,7 +22,7 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     epochs: int = 1
     batch: int = 256
-    lr: float = 3e-4
+    lr: float = 3e-3
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
     grad_clip: float | None = 1.0
@@ -220,7 +220,9 @@ def generate(model: LanguageModel, prompt_ids, n_chars: int, mode: str = "greedy
              temperature: float = 1.0, seed: int = 0) -> np.ndarray:
     """Autoregressive continuation with a sliding context window."""
     if n_chars < 1:
-        raise ContractError(f"n_chars must be >= 1, got {n_chars}")
+        raise ContractError(f"--n-chars must be >= 1, got {n_chars}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {seed}")
     if mode not in ("greedy", "sample"):
         raise ConfigError(f"generation mode must be 'greedy' or 'sample', got {mode!r}")
     if not 0 <= temperature < np.inf:  # also NaN

@@ -335,15 +335,45 @@ class TestCausalAttention:
         (out * Tensor(weights)).sum().backward()
         return out.data, q.grad, k.grad, v.grad
 
-    @pytest.mark.parametrize("kernel,d", CASES)
-    def test_bit_identical_to_composite(self, kernel, d, rng):
-        q0, k0 = rng.normal(size=(3, 6, d)), rng.normal(size=(3, 6, d))
+    def check_against_composite(self, kernel, d, scale, rng):
+        """Dot outputs and gradients equal the chain's bit for bit.  Gaussian
+        ones, scored as 2 q.k - |k|^2 against the chain's difference form,
+        agree to 1e-12 of the largest term each one sums: the values for the
+        output, the output's gradient for dv, and |g v^T| |q_i - k_j| for dq
+        and dk.  A softmax row near one-hot shrinks dq and dk far below their
+        terms, and there any two float64 orders differ in their leading digits."""
+        q0, k0 = rng.normal(size=(3, 6, d)) * scale, rng.normal(size=(3, 6, d)) * scale
         v0 = rng.normal(size=(3, 6, 5))
         weights = rng.normal(size=(3, 6, 5))
         fused = self.run(causal_attention, q0, k0, v0, weights, kernel)
         reference = self.run(reference_attention, q0, k0, v0, weights, kernel)
+        qk = np.abs(weights @ np.swapaxes(v0, -1, -2)).max() * np.abs(q0[..., :, None, :] - k0[..., None, :, :]).max()
+        terms = {"out": np.abs(v0).max(), "dq": qk, "dk": qk, "dv": np.abs(weights).max()}
         for name, got, expect in zip(("out", "dq", "dk", "dv"), fused, reference):
-            assert got.shape == expect.shape and np.array_equal(got, expect), name
+            assert got.shape == expect.shape, name
+            if kernel == "dot":
+                assert np.array_equal(got, expect), name
+            else:
+                assert np.abs(got - expect).max() < 1e-12 * terms[name], name
+
+    @pytest.mark.parametrize("kernel,d", CASES)
+    def test_bit_identical_to_composite(self, kernel, d, rng):
+        self.check_against_composite(kernel, d, 1.0, rng)
+
+    def test_gaussian_large_features_match_composite(self, rng):
+        """Features at scale 3 over 16 dimensions: the expanded form's terms
+        are largest against their difference here."""
+        self.check_against_composite("gaussian", 16, 3.0, rng)
+
+    @pytest.mark.parametrize("d", [1, 16])
+    def test_gaussian_translation_invariant(self, d, rng):
+        q0, k0 = rng.normal(size=(2, 6, d)), rng.normal(size=(2, 6, d))
+        v = Tensor(rng.normal(size=(2, 6, 3)))
+        c = rng.normal(size=d)
+        mask = causal_mask(6)
+        base = causal_attention(Tensor(q0), Tensor(k0), v, mask, "gaussian").data
+        moved = causal_attention(Tensor(q0 + c), Tensor(k0 + c), v, mask, "gaussian").data
+        assert rel_err(moved, base) < 1e-12
 
     @pytest.mark.parametrize("kernel,d", CASES)
     def test_gradients_match_finite_differences(self, kernel, d, rng):

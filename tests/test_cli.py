@@ -521,6 +521,27 @@ def test_damaged_cache_file_is_a_typed_error(shared_cache_run):
     assert any(blob_flips)
 
 
+def test_generate_flags_are_typed_errors(shared_cache_run, capsys):
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    _, ckpt, _ = shared_cache_run
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(-2**70, 2**70), st.integers(-2**70, 6), st.floats(), st.sampled_from(["greedy", "sample"]))
+    def check(seed, n_chars, temperature, mode):
+        capsys.readouterr()
+        rc = main(["generate", "--checkpoint", str(ckpt), "--prompt", "the", f"--seed={seed}",
+                   f"--n-chars={n_chars}", f"--temperature={temperature!r}", f"--mode={mode}"])
+        out, err = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out == "" and any(flag in err for flag in ("--seed", "--n-chars", "--temperature")), err
+
+    check()
+
+
 class TestGenerateCommand:
     def test_generates_text(self, tmp_path, tiny_config, capsys):
         out_dir = run_train(tmp_path, tiny_config)

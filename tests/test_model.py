@@ -127,15 +127,15 @@ class TestGradientsAndDeterminism:
 class TestParamCounts:
     def test_qisa_attention_sub_count(self):
         model = LanguageModel(ModelConfig(vocab_size=11, m=16, H=1, n_layers=1, l=16, variant="qisa"))
-        assert model.attention_param_count_per_layer() == 768 + 256
+        assert model.blocks[0].attn.param_count() == 768 + 256
 
     def test_csa_matches_qisa(self):
         csa = LanguageModel(ModelConfig(vocab_size=11, m=16, H=1, n_layers=1, l=16, variant="csa"))
-        assert csa.attention_param_count_per_layer() == 1024
+        assert csa.blocks[0].attn.param_count() == 1024
 
     def test_qsann_v1_sub_count(self):
         model = LanguageModel(ModelConfig(vocab_size=11, m=16, H=1, n_layers=1, l=16, variant="qsann_v1"))
-        assert model.attention_param_count_per_layer() == 36
+        assert model.blocks[0].attn.param_count() == 36
 
     def test_total_includes_everything(self):
         cfg = tiny_config(n_layers=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qisa_lab.cli import DEFAULT_TRAIN
 from qisa_lab.data import Vocab, batch_iter, split_dataset
 from qisa_lab.errors import CacheMissError, ConfigError, ContractError, InsufficientDataError, NumericError
 from qisa_lab.model import LanguageModel, ModelConfig
@@ -136,6 +137,11 @@ class TestTrainConfig:
     def test_bad_types(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig.from_dict({field: value})
+
+    def test_defaults_are_the_cli_defaults(self):
+        """A train section that leaves a field out trains as one with no train section."""
+        assert TrainConfig() == TrainConfig.from_dict(DEFAULT_TRAIN)
+        assert TrainConfig.from_dict({"batch": 64}).lr == DEFAULT_TRAIN["lr"] == 3e-3
 
     def test_accepts_integer_rates_and_no_clipping(self):
         cfg = TrainConfig.from_dict({"lr": 1, "eps": 1, "grad_clip": None, "betas": [0, 0.5]})
@@ -336,8 +342,12 @@ class TestGenerate:
 
     def test_bad_n_chars(self):
         model = tiny_model()
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="--n-chars"):
             generate(model, np.array([0]), 0)
+
+    def test_bad_seed(self):
+        with pytest.raises(ConfigError, match="--seed"):
+            generate(tiny_model(), np.array([0]), 2, mode="sample", seed=-1)
 
     def test_bad_mode(self):
         model = tiny_model()
