@@ -20,8 +20,10 @@ its linear map; ``AttentionSpec.kernel`` scores queries against keys
 It takes [l, m] or [B, l, m] input and an additive causal mask.
 
 Every quantum feature is a real quadratic form x^T A_k x of the
-L2-normalized token x.  ``ROLE_TABLE`` names each variant's source per
-role, and the weights build A_k = S^T P~_k S per head and feature role:
+L2-normalized token x.  ``ROLE_TABLE`` holds all there is to a variant:
+its source per role, its kernel, whether W_o follows and what circuit
+queries and keys measure.  The weights build A_k = S^T P~_k S per head and
+feature role:
 S = [Re U; Im U] of the ansatz unitary with P~_k the real form of the
 Pauli matrix P_k, which makes A_k = Re(U^dag P_k U); for qisa, S = W~
 and P~_k = Re(P_k).  Every stack
@@ -38,10 +40,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .qsim import PauliString, hea_unitary_tensors, pauli_matrix, select_observables
 from .tensor import (
     Tensor,
@@ -51,23 +54,40 @@ from .tensor import (
     matmul,
     normalize_rows,
     reshape,
+    softmax_grad,
+    softmax_inplace,
     swap_last,
 )
 
-VARIANTS = ("csa", "qisa", "qisa_a", "qsann", "qsann_v1", "qsann_v2")
 
-_ALIASES = {
-    "csa": "csa",
-    "qisa": "qisa",
-    "qisa_a": "qisa_a",
-    "qisa-a": "qisa_a",
-    "qisaa": "qisa_a",
-    "qsann": "qsann",
-    "qsann_v1": "qsann_v1",
-    "qsannv1": "qsann_v1",
-    "qsann_v2": "qsann_v2",
-    "qsannv2": "qsann_v2",
+# What a variant is.  ``roles``: per role (query, key, value), in draw order,
+# the name of its parameter and its source: "linear" an [m, h] map, "matrix"
+# qisa's real [m, m] map W~, "circuit" one ansatz angle set shared by every
+# position, "circuits" one angle set per position.  ``uses_wo``: W_o follows.
+# ``kernel``: how queries score keys, None letting ``v2_kernel`` choose.
+# ``qk_vector``: circuit queries and keys are a vector of m Pauli
+# expectations, not one first-qubit Z score.
+class Variant(NamedTuple):
+    roles: tuple[tuple[str, str], ...]
+    uses_wo: bool
+    kernel: str | None
+    qk_vector: bool = False
+
+
+_LINEAR_QK = (("wq", "linear"), ("wk", "linear"))
+_CIRCUIT_QKV = (("theta_q", "circuit"), ("theta_k", "circuit"), ("theta_v", "circuit"))
+ROLE_TABLE = {
+    "csa": Variant(_LINEAR_QK + (("wv", "linear"),), True, "dot"),
+    "qisa": Variant(_LINEAR_QK + (("wv_tilde", "matrix"),), True, "dot"),
+    "qisa_a": Variant(_LINEAR_QK + (("theta", "circuit"),), True, "dot"),
+    "qsann": Variant((("theta_q", "circuits"), ("theta_k", "circuits"), ("theta_v", "circuits")),
+                     False, "gaussian"),
+    "qsann_v1": Variant(_CIRCUIT_QKV, False, "gaussian"),
+    "qsann_v2": Variant(_CIRCUIT_QKV, False, None, qk_vector=True),
 }
+VARIANTS = tuple(ROLE_TABLE)
+_ALIASES = {**{name: name for name in VARIANTS}, **{name.replace("_", ""): name for name in VARIANTS},
+            "qisa-a": "qisa_a"}
 
 
 def canonical_variant(name: str) -> str:
@@ -94,12 +114,20 @@ class AttentionSpec:
             raise ConfigError("m, H, l, p must all be positive")
         if self.m % self.H != 0:
             raise ConfigError(f"embedding size {self.m} is not divisible by {self.H} heads")
-        if self.variant != "csa" and (self.m & (self.m - 1)) != 0:
+        if set(self.sources) != {"linear"} and (self.m & (self.m - 1)) != 0:
             raise ConfigError(f"quantum variants need a power-of-two embedding size, got {self.m}")
         if self.v2_kernel not in ("dot", "gaussian"):
             raise ConfigError(f"v2_kernel must be 'dot' or 'gaussian', got {self.v2_kernel!r}")
-        if self.variant == "qsann" and self.H > 1:
+        if "circuits" in self.sources and self.H > 1:
             warnings.warn("the per-position variant is normally compared with a single head", stacklevel=3)
+
+    @property
+    def row(self) -> Variant:
+        return ROLE_TABLE[self.variant]
+
+    @property
+    def sources(self) -> tuple[str, ...]:
+        return tuple(source for _, source in self.row.roles)
 
     @property
     def h(self) -> int:
@@ -111,14 +139,12 @@ class AttentionSpec:
 
     @property
     def uses_wo(self) -> bool:
-        return self.variant in ("csa", "qisa", "qisa_a")
+        return self.row.uses_wo
 
     @property
     def kernel(self) -> str:
         """How queries score keys: "dot" (scaled dot product) or "gaussian"."""
-        if self.variant == "qsann_v2":
-            return self.v2_kernel
-        return "gaussian" if self.variant in ("qsann", "qsann_v1") else "dot"
+        return self.row.kernel or self.v2_kernel
 
 
 def causal_mask(l: int) -> np.ndarray:
@@ -132,17 +158,9 @@ def causal_mask(l: int) -> np.ndarray:
 
 def count_params(spec: AttentionSpec) -> int:
     """Trainable scalars per head (output projection excluded)."""
-    m, h, p, l = spec.m, spec.h, spec.p, spec.l
-    n3 = 3 * spec.n_qubits  # rotation angles per ansatz layer
-    if spec.variant == "csa":
-        return 3 * m * h
-    if spec.variant == "qisa":
-        return 2 * m * h + m * m
-    if spec.variant == "qisa_a":
-        return 2 * m * h + n3 * p
-    if spec.variant == "qsann":
-        return 3 * n3 * p * l
-    return 3 * n3 * p  # qsann_v1, qsann_v2
+    angles = 3 * spec.n_qubits * spec.p  # one ansatz angle set
+    size = {"linear": spec.m * spec.h, "matrix": spec.m**2, "circuit": angles, "circuits": angles * spec.l}
+    return sum(size[source] for source in spec.sources)
 
 
 def output_projection_params(spec: AttentionSpec) -> int:
@@ -191,20 +209,6 @@ def congruence(s: Tensor, lifted: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-# What a variant is: per role (query, key, value), in draw order, the name
-# of its parameter and its source.  Sources: "linear" an [m, h] map,
-# "matrix" qisa's real [m, m] map W~, "circuit" one ansatz angle set shared
-# by every position, "circuits" one angle set per position.
-ROLE_TABLE = {
-    "csa": (("wq", "linear"), ("wk", "linear"), ("wv", "linear")),
-    "qisa": (("wq", "linear"), ("wk", "linear"), ("wv_tilde", "matrix")),
-    "qisa_a": (("wq", "linear"), ("wk", "linear"), ("theta", "circuit")),
-    "qsann": (("theta_q", "circuits"), ("theta_k", "circuits"), ("theta_v", "circuits")),
-    "qsann_v1": (("theta_q", "circuit"), ("theta_k", "circuit"), ("theta_v", "circuit")),
-    "qsann_v2": (("theta_q", "circuit"), ("theta_k", "circuit"), ("theta_v", "circuit")),
-}
-
-
 class AttentionWeights:
     """One layer's attention weights, laid out by the variant's row of
     ``ROLE_TABLE``: per role a list of H per-head parameters (for
@@ -212,17 +216,16 @@ class AttentionWeights:
 
     def __init__(self, spec: AttentionSpec, rng: np.random.Generator):
         self.spec = spec
-        self.roles = dict(zip(("query", "key", "value"), ROLE_TABLE[spec.variant]))  # role -> (name, source)
+        self.roles = dict(zip(("query", "key", "value"), spec.row.roles))  # role -> (name, source)
         for name, source in self.roles.values():
             setattr(self, name, [self._draw(source, rng) for _ in range(spec.H)])
         self.wo = self._draw("wo", rng) if spec.uses_wo else None
         # the roles read as quadratic features, with their observables; keys
-        # read the query observables, through the same constant stack
+        # read the query's words, so _lift hands them the query's stack
         self.features = {role: source for role, (_, source) in self.roles.items() if source != "linear"}
-        obs = {role: self._observables(role, src) for role, src in self.features.items() if role != "key"}
+        obs = {role: self._observables(role, source) for role, source in self.features.items()}
         self.value_obs, self.qk_obs = obs.get("value"), obs.get("query")
-        lifted = {role: _lift(o, real=self.features[role] == "matrix") for role, o in obs.items()}
-        self._lifted = {role: lifted["query" if role == "key" else role] for role in self.features}
+        self._lifted = {role: _lift(o, real=self.features[role] == "matrix") for role, o in obs.items()}
         # the [L, K, m, m] shape of each feature role's coefficient stack
         self.feature_shapes = {role: (spec.l if source == "circuits" else 1, self._lifted[role].shape[0],
                                       spec.m, spec.m) for role, source in self.features.items()}
@@ -243,7 +246,7 @@ class AttentionWeights:
         n = self.spec.n_qubits
         if role == "value":  # a real map W~ needs the words with an even number of Y
             return select_observables(n, self.spec.h, "real_congruence" if source == "matrix" else "unitary")
-        if self.spec.variant == "qsann_v2":  # vector queries/keys; the others one score, first-qubit Z
+        if self.spec.row.qk_vector:  # vector queries/keys; otherwise one score, first-qubit Z
             return select_observables(n, self.spec.m, "unitary")
         return [PauliString("Z" + "I" * (n - 1))]
 
@@ -370,7 +373,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, kernel: 
     One node holds the scores, mask, softmax and weighted sum.  For the dot
     kernel the forward and the hand-written backward repeat the operation
     order of the chain of matmul, scale, add, softmax_rows and matmul ops,
-    so outputs and gradients are bit for bit those of that chain; Gaussian
+    through softmax_rows' own kernels softmax_inplace and softmax_grad, so
+    outputs and gradients are bit for bit those of that chain; Gaussian
     outputs and gradients agree with the chain's difference form to rounding.
     """
     if q.shape != k.shape or q.ndim < 2:
@@ -384,24 +388,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, kernel: 
     if gaussian:
         p -= (k.data * k.data).sum(axis=-1)[..., None, :]
     p += mask
-    if np.isnan(p).any():
-        raise NumericError("attention scores contain NaN")
-    hi = np.max(p, axis=-1, keepdims=True)
-    p -= np.where(np.isfinite(hi), hi, 0.0)
-    np.exp(p, out=p)
-    z = p.sum(axis=-1, keepdims=True)
-    np.divide(p, z, out=p, where=z > 0)  # a row with z = 0 is all zeros already
+    softmax_inplace(p, "attention scores contain NaN")
 
     def backward_fn(g):
         if v.requires_grad:
             _accum(v, np.swapaxes(p, -1, -2) @ g)
         if not (q.requires_grad or k.requires_grad):
             return
-        gp = g @ np.swapaxes(v.data, -1, -2)
-        gs = gp * p  # softmax: (gp - sum(gp p)) p
-        dot = gs.sum(axis=-1, keepdims=True)
-        np.subtract(gp, dot, out=gs)
-        gs *= p
+        gs = softmax_grad(g @ np.swapaxes(v.data, -1, -2), p)
         gs *= scale
         if q.requires_grad:
             _accum(q, gs @ k.data)

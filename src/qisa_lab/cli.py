@@ -12,10 +12,11 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .errors import CheckpointError, ConfigError, QisaLabError
+from .model import ModelConfig
 from .training import TrainConfig
 
 
@@ -34,8 +35,9 @@ def preset_config(name: str) -> dict:
     for shape, model_part in _PRESET_SHAPES.items():
         if name.startswith(shape + "-"):
             variant = name[len(shape) + 1:]
-            model = {"variant": variant, "n_layers": 6, "l": 16, "p": 1, "seed": 0,
-                     "dropout": 0.0, "v2_kernel": "dot", **model_part}
+            # every other model field takes ModelConfig's default
+            model = {f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING}
+            model.update(variant=variant, **model_part)
             return {"model": model, "train": dict(DEFAULT_TRAIN), "data": {"corpus": "bundled"}}
     raise ConfigError(
         f"unknown preset {name!r}; presets look like emb4-h1-qisa, emb16-h1-csa, emb16-h4-qsann_v2")
@@ -88,6 +90,9 @@ def _load_split(data_cfg: dict, vocab=None):
     from .data import BUNDLED_CORPUS, build_vocab, load_corpus, split_dataset
     from .model import is_number
 
+    unknown = set(data_cfg) - {"corpus", "corpus_fraction", "split_fraction"}
+    if unknown:
+        raise ConfigError(f"unknown data config fields: {sorted(unknown)}")
     corpus = data_cfg.get("corpus", "bundled")
     fraction = data_cfg.get("corpus_fraction", 1.0)
     split_fraction = data_cfg.get("split_fraction", 0.2)
@@ -192,7 +197,7 @@ def write_loss_svg(rows, path: Path, width=720, height=400) -> None:
 
 
 def cmd_train(args) -> int:
-    from .model import LanguageModel, ModelConfig
+    from .model import LanguageModel
     from .training import evaluate_ce, train
 
     cfg = load_config(args)
@@ -300,8 +305,6 @@ def cmd_params(args) -> int:
     from .attention import VARIANTS, AttentionSpec, count_params, output_projection_params
 
     if args.config:
-        from .model import ModelConfig
-
         cfg = ModelConfig.from_dict({"vocab_size": 1, "variant": "csa", **_read_config(args.config)["model"]})
         m, H, p, l = cfg.m, cfg.H, cfg.p, cfg.l
     else:
@@ -341,7 +344,7 @@ def cmd_bench(args) -> int:
 
     import numpy as np
 
-    from .model import LanguageModel, ModelConfig
+    from .model import LanguageModel
     from .tensor import cross_entropy, graph_nodes, no_grad
     from .training import Adam, train_step
 

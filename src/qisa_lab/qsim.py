@@ -213,12 +213,9 @@ def hea_unitary_tensors(thetas, n: int, p: int) -> Tensor:
     # exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P for P = X, Y, Z
     rx, ry, rz = np.moveaxis(c * np.eye(2) - 1j * s * _ROTATION_AXES, -3, 0)
     gates = rz @ ry @ rx  # [S, p, n, 2, 2]
-    # left[q] = g_0 x ... x g_{q-1}, right[q] = g_{q+1} x ... x g_{n-1}
-    left = [np.ones(gates.shape[:2] + (1, 1))]
-    right = [np.ones(gates.shape[:2] + (1, 1))]
+    left = [np.ones(gates.shape[:2] + (1, 1))]  # left[q] = g_0 x ... x g_{q-1}
     for q in range(n):
         left.append(_kron(left[-1], gates[:, :, q]))
-        right.insert(0, _kron(gates[:, :, n - 1 - q], right[0]))
     layers = left[n][:, :, rows, :]  # [S, p, m, m]: CNOT chain after the rotations
     prefix = [layers[:, 0]]  # prefix[j] = L_j ... L_0
     for j in range(1, p):
@@ -235,12 +232,15 @@ def hea_unitary_tensors(thetas, n: int, p: int) -> Tensor:
             env = grad_u if suffix is None else _adjoint(suffix) @ grad_u
             grad_layers[:, j][:, rows] = env @ _adjoint(prefix[j - 1]) if j else env
             suffix = layers[:, j] if suffix is None else suffix @ layers[:, j]
+        right = [np.ones(gates.shape[:2] + (1, 1))]  # right[q] = g_{q+1} x ... x g_{n-1}
+        for q in reversed(range(1, n)):
+            right.insert(0, _kron(gates[:, :, q], right[0]))
         grad_gates = np.empty_like(gates)
         for q in range(n):
             dl, dr = 2**q, 2 ** (n - 1 - q)
             blocks = grad_layers.reshape(gates.shape[:2] + (dl, 2, dr, dl, 2, dr))
             grad_gates[:, :, q] = np.einsum("spxazybw,spxy,spzw->spab", blocks,
-                                            left[q].conj(), right[q + 1].conj())
+                                            left[q].conj(), right[q].conj())
         # dg/dtheta_a = (rotations after a) (-i/2 P_a) (rotations up to a)
         grad_theta = np.empty(half.shape)
         for a, (later, upto) in enumerate([(rz @ ry, rx), (rz, ry @ rx), (np.eye(2), gates)]):

@@ -368,30 +368,36 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis.
-
-    Entries may be -inf (masked positions).  A row that is entirely
-    -inf maps to all zeros rather than NaN, which keeps the function
-    total even though the causal mask never produces such rows.
-    """
-    a = _as_tensor(a)
-    x = a.data
+def softmax_inplace(x: np.ndarray, nan_message: str) -> np.ndarray:
+    """Row-wise softmax over the last axis, written over ``x`` and returned;
+    a NaN entry raises NumericError(nan_message).  Entries may be -inf
+    (masked positions); a row that is entirely -inf maps to all zeros."""
     if np.isnan(x).any():
-        raise NumericError("softmax input contains NaN")
+        raise NumericError(nan_message)
     hi = np.max(x, axis=-1, keepdims=True)
-    shift = np.where(np.isfinite(hi), hi, 0.0)
-    out = x - shift
-    np.exp(out, out=out)
-    z = out.sum(axis=-1, keepdims=True)
-    np.divide(out, z, out=out, where=z > 0)  # a row with z = 0 is all zeros already
+    x -= np.where(np.isfinite(hi), hi, 0.0)
+    np.exp(x, out=x)
+    z = x.sum(axis=-1, keepdims=True)
+    np.divide(x, z, out=x, where=z > 0)  # a row with z = 0 is all zeros already
+    return x
+
+
+def softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The gradient (g - sum(g p)) p through softmax rows ``p``, in a new array."""
+    gp = g * p
+    dot = gp.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gp)
+    gp *= p
+    return gp
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Tape op: row-wise softmax over the last axis (see :func:`softmax_inplace`)."""
+    a = _as_tensor(a)
+    out = softmax_inplace(a.data.copy(), "softmax input contains NaN")
 
     def backward_fn(g):
-        ga = g * out
-        dot = ga.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=ga)
-        ga *= out
-        _accum(a, ga)
+        _accum(a, softmax_grad(g, out))
 
     return _make(out, (a,), backward_fn)
 

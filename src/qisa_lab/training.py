@@ -13,7 +13,7 @@ from .errors import ConfigError, ContractError, InsufficientDataError, NumericEr
 from .metrics import cer, wer
 from .model import LanguageModel, is_number
 from .qsim import ObservableCache
-from .tensor import Tensor, cross_entropy, log_softmax, no_grad, pack, softmax_rows
+from .tensor import cross_entropy, log_softmax, no_grad, pack, softmax_inplace
 
 log = logging.getLogger(__name__)
 
@@ -167,10 +167,12 @@ def train(
             # The last logits stay bound until the next step's forward has run, so
             # the top of the heap is not free when the last of the tape is released;
             # glibc would return a free top to the OS, and the next step would fault
-            # that memory back in.  The hold kept a csa step at batch 256 near 16 000
-            # minor faults rather than 45 000 while backward freed the tape only at
-            # its end; freeing it during the walk, the step takes 1 700-2 800 with or
-            # without the hold, as unrelated edits move the heap layout.
+            # that memory back in.  The hold is load-bearing: at emb16-h1, batch 256,
+            # on a 2-core Xeon, a csa step takes 2 600-3 600 minor faults and an
+            # 84-97 ms median with it, 27 000 and 103-133 ms without it; qisa takes
+            # 1 200-1 900 faults and 113-132 ms against 18 000-19 000 and 144-163 ms.
+            # It costs 2-4 MB of peak RSS.  Fault counts of single runs move by a
+            # third under unrelated edits, so compare medians of several runs.
             t0 = time.perf_counter()
             value, grad_norm, logits = train_step(model, opt, inputs, targets, cfg.grad_clip)
             step_s = time.perf_counter() - t0
@@ -248,7 +250,7 @@ def _generate_batch(model: LanguageModel, prompts: np.ndarray, n_chars: int,
             if mode == "greedy":
                 nxt = logits.argmax(axis=-1)
             else:
-                probs = softmax_rows(Tensor(logits / max(temperature, 1e-8))).data
+                probs = softmax_inplace(logits / max(temperature, 1e-8), "softmax input contains NaN")
                 nxt = np.array([rng.choice(len(p), p=p / p.sum()) for p in probs])
             generated.append(nxt)
             seq = np.concatenate([seq, nxt[:, None]], axis=1)

@@ -334,10 +334,12 @@ class TestBadConfig:
         (lambda cfg: json.dumps({**cfg, "data": {**cfg["data"], "corpus_fraction": "x"}}),
          "data.corpus_fraction"),
         (lambda cfg: json.dumps({**cfg, "data": {**cfg["data"], "corpus_fraction": 0}}), "data.corpus_fraction"),
+        (lambda cfg: json.dumps({**cfg, "data": {**cfg["data"], "corpus_fracton": 0.05}}),
+         "unknown data config fields: ['corpus_fracton']"),
         (lambda cfg: json.dumps({**cfg, "train": {**cfg["train"], "epochs": "x"}}), "train.epochs"),
     ], ids=["not-json", "missing", "list", "model-list", "train-number", "data-list", "corpus-number",
             "split-fraction-string", "split-fraction-one", "corpus-fraction-string", "corpus-fraction-zero",
-            "epochs-string"])
+            "data-unknown-field", "epochs-string"])
     def test_train(self, tmp_path, tiny_config, edit, named, capsys):
         path = tmp_path / "edited.json"
         if edit is not None:
@@ -350,13 +352,16 @@ class TestBadConfig:
         out_dir = run_train(tmp_path, tiny_config)
         manifest_path = out_dir / "checkpoint.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["extra"]["data"]["corpus_fraction"] = "x"
-        manifest_path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint"), "--windows", "2",
-                   "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
-        assert rc == 2
-        assert "data.corpus_fraction" in capsys.readouterr().err
+        data = manifest["extra"]["data"]
+        for edit, named in (({"corpus_fraction": "x"}, "data.corpus_fraction"),
+                            ({"corpus_fracton": 0.05}, "unknown data config fields: ['corpus_fracton']")):
+            manifest["extra"]["data"] = {**data, **edit}
+            manifest_path.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint"), "--windows", "2",
+                       "--gen-chars", "4", "--out", str(tmp_path / "m.json")])
+            assert rc == 2
+            assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,named", [(None, "cannot read"), ("[1, 2]", "not a JSON object"),
                                             ('{"model": {"m": "x"}}', "model.m")],

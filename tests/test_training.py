@@ -1,7 +1,11 @@
+import weakref
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
-from qisa_lab.cli import DEFAULT_TRAIN
+from qisa_lab import training
+from qisa_lab.cli import DEFAULT_TRAIN, preset_config
 from qisa_lab.data import Vocab, batch_iter, split_dataset
 from qisa_lab.errors import CacheMissError, ConfigError, ContractError, InsufficientDataError, NumericError
 from qisa_lab.model import LanguageModel, ModelConfig
@@ -143,6 +147,12 @@ class TestTrainConfig:
         assert TrainConfig() == TrainConfig.from_dict(DEFAULT_TRAIN)
         assert TrainConfig.from_dict({"batch": 64}).lr == DEFAULT_TRAIN["lr"] == 3e-3
 
+    def test_preset_model_fields_are_the_model_config_defaults(self):
+        """A preset sets its variant and shape; every other model field is ModelConfig's default."""
+        model = preset_config("emb16-h4-qsann_v2")["model"]
+        assert set(model) == {f.name for f in fields(ModelConfig) if f.default is not MISSING}
+        assert ModelConfig(vocab_size=5, **model) == ModelConfig(vocab_size=5, variant="qsann_v2", m=16, H=4)
+
     def test_accepts_integer_rates_and_no_clipping(self):
         cfg = TrainConfig.from_dict({"lr": 1, "eps": 1, "grad_clip": None, "betas": [0, 0.5]})
         assert cfg.betas == (0, 0.5) and cfg.grad_clip is None
@@ -216,6 +226,21 @@ class TestTrainLoop:
             _, rows = train(model, data, cfg, log_every=0)
             curves.append([r[3] for r in rows if r[1] == "train" and r[2] not in ("step_s", "tok_s")])
         assert curves[0] == curves[1]
+
+    def test_each_steps_logits_stay_alive_until_the_next_step(self, rng, monkeypatch):
+        """train() holds a step's logits until the next step has run, which keeps
+        the top of the heap in use between steps (see the comment in train)."""
+        refs, alive_at_next_step = [], []
+
+        def step(*args):
+            alive_at_next_step.extend(ref() is not None for ref in refs)
+            out = train_step(*args)
+            refs[:] = [weakref.ref(out[2])]
+            return out
+
+        monkeypatch.setattr(training, "train_step", step)
+        train(tiny_model(), tiny_dataset(rng), TrainConfig(epochs=1, batch=64, eval_every=0), log_every=0)
+        assert len(alive_at_next_step) >= 3 and all(alive_at_next_step)
 
     def test_writes_checkpoint(self, rng, tmp_path):
         model = tiny_model()
