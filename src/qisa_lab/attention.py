@@ -220,12 +220,13 @@ class AttentionWeights:
         for name, source in self.roles.values():
             setattr(self, name, [self._draw(source, rng) for _ in range(spec.H)])
         self.wo = self._draw("wo", rng) if spec.uses_wo else None
-        # the roles read as quadratic features, with their observables; keys
-        # read the query's words, so _lift hands them the query's stack
+        # the roles read as quadratic features, with their observables
         self.features = {role: source for role, (_, source) in self.roles.items() if source != "linear"}
         obs = {role: self._observables(role, source) for role, source in self.features.items()}
         self.value_obs, self.qk_obs = obs.get("value"), obs.get("query")
         self._lifted = {role: _lift(o, real=self.features[role] == "matrix") for role, o in obs.items()}
+        if "key" in self._lifted:  # keys read the query's words: one Tensor serves both
+            self._lifted["key"] = self._lifted["query"]
         # the [L, K, m, m] shape of each feature role's coefficient stack
         self.feature_shapes = {role: (spec.l if source == "circuits" else 1, self._lifted[role].shape[0],
                                       spec.m, spec.m) for role, source in self.features.items()}

@@ -228,7 +228,8 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     ce, std = evaluate_ce(model, split.test_ids)
     timings["eval_s"] = time.perf_counter() - t0
-    rows.append((rows[-1][0] if rows else 0, "test", "ce_final", ce))
+    step = rows[-1][0] + 1 if rows else 0  # the number of steps trained
+    rows += [(step, "test", "ce", ce), (step, "test", "ce_final", ce)]
 
     outputs = {"checkpoint_json": out_dir / "checkpoint.json",
                "checkpoint_bin": out_dir / "checkpoint.bin",

@@ -18,7 +18,7 @@ from . import qsim
 from .attention import AttentionSpec, AttentionWeights, attention_forward, causal_mask
 from .errors import CacheMissError, CheckpointError, ConfigError, ContextOverflowError, ContractError
 from .qsim import ObservableCache
-from .tensor import Tensor, dropout, gather_rows, gelu, layer_norm, matmul, no_grad, pack, reshape
+from .tensor import Tensor, dropout, gather_rows, layer_norm, matmul, mlp, no_grad, pack, reshape
 
 CHECKPOINT_FORMAT = 1
 
@@ -88,8 +88,7 @@ class Block:
     def forward(self, x: Tensor, mask: np.ndarray, coeffs: list[dict[str, Tensor]] | None) -> Tensor:
         a = attention_forward(layer_norm(x, self.ln1_gain, self.ln1_bias), self.attn, mask, coeffs)
         x = x + a
-        h = gelu(matmul(layer_norm(x, self.ln2_gain, self.ln2_bias), self.mlp_w1) + self.mlp_b1)
-        return x + (matmul(h, self.mlp_w2) + self.mlp_b2)
+        return x + mlp(x, self.ln2_gain, self.ln2_bias, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
 
     def named_parameters(self, prefix: str):
         out = [(f"{prefix}.ln1.gain", self.ln1_gain), (f"{prefix}.ln1.bias", self.ln1_bias)]

@@ -311,40 +311,50 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU activation (tanh approximation).
-
-    0.5 x (1 + tanh(c (x + 0.044715 x^3))), computed in place in a few
-    buffers in the operation order of the plain expression, so the result
-    is bit-for-bit that of the expression.
-    """
-    a = _as_tensor(a)
-    x = a.data
-    t = x * x
+def gelu_into(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """GELU (tanh approximation) 0.5 x (1 + tanh(c (x + 0.044715 x^3))) of
+    ``x`` into ``out``, which may be ``x``, and its tanh into ``t``, in the
+    operation order of the plain expression, so bit-for-bit its result."""
+    np.multiply(x, x, out=t)
     t *= 0.044715
     t *= x
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    data = x * 0.5
-    data *= t + 1.0
+    np.multiply(x, 0.5, out=out)
+    out *= t + 1.0
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> None:
+    """Multiply ``g`` in place by GELU's slope at ``x``; this spends the
+    forward's tanh ``t``."""
+    # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
+    d_inner = x * x
+    d_inner *= 3 * 0.044715
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    local = t + 1.0
+    local *= 0.5
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    slope = x * 0.5
+    slope *= t
+    slope *= d_inner
+    local += slope
+    g *= local
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Tape op: GELU activation (see :func:`gelu_into`)."""
+    a = _as_tensor(a)
+    x = a.data
+    t, data = np.empty_like(x), np.empty_like(x)
+    gelu_into(x, t, data)
 
     def backward_fn(g):
-        # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2), times g
-        d_inner = x * x
-        d_inner *= 3 * 0.044715
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        local = t + 1.0
-        local *= 0.5
-        np.multiply(t, t, out=t)  # t is spent after this walk: the graph is single use
-        np.subtract(1.0, t, out=t)
-        slope = x * 0.5
-        slope *= t
-        slope *= d_inner
-        local += slope
-        local *= g
-        _accum(a, local)
+        g = g.copy()  # g may be an alias handed to another node too
+        gelu_grad(x, t, g)  # t is spent after this walk: the graph is single use
+        _accum(a, g)
 
     return _make(data, (a,), backward_fn)
 
@@ -402,44 +412,120 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(out, (a,), backward_fn)
 
 
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Layer norm's forward arrays: the output and the normalized ``xhat``
+    and ``1 / std`` that :func:`_layer_norm_backward` takes."""
+    m = x.shape[-1]
+    # each mean is a sum and a division by m, as ndarray.mean computes it, at
+    # less per-call overhead
+    mu = x.sum(axis=-1, keepdims=True)
+    mu /= m
+    xhat = x - mu
+    var = (xhat**2).sum(axis=-1, keepdims=True)
+    var /= m
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_backward(g, a: Tensor, gain: Tensor, bias: Tensor, xhat: np.ndarray, inv: np.ndarray) -> None:
+    """Accumulate the gradients of layer norm's input and affine parameters."""
+    m = xhat.shape[-1]
+    if gain.requires_grad:
+        _accum(gain, (g * xhat).reshape(-1, m).sum(axis=0))
+    if bias.requires_grad:
+        _accum(bias, g.reshape(-1, m).sum(axis=0))
+    if a.requires_grad:
+        # (dxhat - mean(dxhat) - xhat mean(dxhat xhat)) inv, dxhat = g gain
+        dxhat = g * gain.data
+        dxx = dxhat * xhat
+        mean_dx = dxhat.sum(axis=-1, keepdims=True)
+        mean_dx /= m
+        mean_dxx = dxx.sum(axis=-1, keepdims=True)
+        mean_dxx /= m
+        dxhat -= mean_dx
+        np.multiply(xhat, mean_dxx, out=dxx)
+        dxhat -= dxx
+        dxhat *= inv
+        _accum(a, dxhat)
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     m = a.shape[-1]
     if gain.shape != (m,) or bias.shape != (m,):
         raise ShapeError(f"layer_norm affine parameters must have shape ({m},)")
-    # each mean is a sum and a division by m, as ndarray.mean computes it, at
-    # less per-call overhead
-    mu = a.data.sum(axis=-1, keepdims=True)
-    mu /= m
-    xhat = a.data - mu
-    var = (xhat**2).sum(axis=-1, keepdims=True)
-    var /= m
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    data = xhat * gain.data
-    data += bias.data
+    data, xhat, inv = _layer_norm(a.data, gain.data, bias.data, eps)
 
     def backward_fn(g):
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, m).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, m).sum(axis=0))
-        if a.requires_grad:
-            # (dxhat - mean(dxhat) - xhat mean(dxhat xhat)) inv, dxhat = g gain
-            dxhat = g * gain.data
-            dxx = dxhat * xhat
-            mean_dx = dxhat.sum(axis=-1, keepdims=True)
-            mean_dx /= m
-            mean_dxx = dxx.sum(axis=-1, keepdims=True)
-            mean_dxx /= m
-            dxhat -= mean_dx
-            np.multiply(xhat, mean_dxx, out=dxx)
-            dxhat -= dxx
-            dxhat *= inv
-            _accum(a, dxhat)
+        _layer_norm_backward(g, a, gain, bias, xhat, inv)
 
     return _make(data, (a, gain, bias), backward_fn)
+
+
+# Elements of the hidden array that one pass of mlp's GELU takes: 256 KiB per
+# array, so the five or six arrays that a forward or backward block touches
+# stay in a 2 MiB L2 (512 rows at m = 16).
+_GELU_BLOCK = 1 << 15
+
+
+def _row_blocks(*arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Matching views of same-shaped arrays, a block of whole rows of about
+    ``_GELU_BLOCK`` elements at a time; arrays that fit one block come back whole."""
+    if arrays[0].size <= _GELU_BLOCK:
+        return [arrays]
+    width = arrays[0].shape[-1]
+    rows = [a.reshape(-1, width) for a in arrays]
+    step = max(1, _GELU_BLOCK // width)
+    return [tuple(r[lo:lo + step] for r in rows) for lo in range(0, len(rows[0]), step)]
+
+
+def mlp(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        eps: float = 1e-5) -> Tensor:
+    """Tape op on Tensors: the pre-LN MLP gelu(layer_norm(x) @ w1 + b1) @ w2 + b2.
+
+    One node holds the chain of layer_norm, matmul, add, gelu, matmul and add
+    ops, and repeats its kernels, GEMM shapes, reductions and operation order,
+    so outputs and gradients are bit for bit the chain's.  The biases are
+    added in place, and the GELU runs over blocks of rows (elementwise, so the
+    blocking keeps the bits) into two buffers, its tanh and its output, so it
+    makes no hidden-sized temporary: the node keeps three hidden-sized arrays.
+    """
+    m, hidden = w1.shape
+    shapes = (x.shape[-1], ln_gain.shape, ln_bias.shape, b1.shape, w2.shape)
+    if shapes != (m, (m,), (m,), (hidden,), (hidden,) + b2.shape):
+        raise ShapeError(f"mlp parameters {[p.shape for p in (ln_gain, ln_bias, w1, b1, w2, b2)]} "
+                         f"do not fit input {x.shape}")
+    parents = (x, ln_gain, ln_bias, w1, b1, w2, b2)
+    n, xhat, inv = _layer_norm(x.data, ln_gain.data, ln_bias.data, eps)
+    z = n @ w1.data
+    z += b1.data
+    t = np.empty_like(z)
+    # the backward needs z; without a tape the output overwrites it
+    h = np.empty_like(z) if _grad_enabled and any(p.requires_grad for p in parents) else z
+    for zb, tb, hb in _row_blocks(z, t, h):
+        gelu_into(zb, tb, hb)
+    out = h @ w2.data
+    out += b2.data
+
+    def backward_fn(g):
+        if b2.requires_grad:
+            _accum(b2, _unbroadcast(g, b2.shape))
+        if w2.requires_grad:
+            _accum(w2, _unbroadcast(np.swapaxes(h, -1, -2) @ g, w2.shape))
+        dz = g @ np.swapaxes(w2.data, -1, -2)
+        for zb, tb, gb in _row_blocks(z, t, dz):
+            gelu_grad(zb, tb, gb)
+        if b1.requires_grad:
+            _accum(b1, _unbroadcast(dz, b1.shape))
+        if w1.requires_grad:
+            _accum(w1, _unbroadcast(np.swapaxes(n, -1, -2) @ dz, w1.shape))
+        _layer_norm_backward(dz @ np.swapaxes(w1.data, -1, -2), x, ln_gain, ln_bias, xhat, inv)
+
+    return _make(out, parents, backward_fn)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

@@ -150,7 +150,8 @@ def train(
 
     Each step gives four train rows: ``ce``, ``grad_norm`` (before
     clipping), ``step_s`` (the wall time of the step) and ``tok_s``
-    (batch * l tokens over ``step_s``); each test evaluation a test ``ce`` row.
+    (batch * l tokens over ``step_s``); each periodic test evaluation a test
+    ``ce`` row.  The final test evaluation is the caller's.
 
     Training aborts if the loss stays above 10x its initial value for 100
     consecutive steps.  A checkpoint is written at the end when a path is
@@ -187,9 +188,6 @@ def train(
             step += 1
     elapsed = time.perf_counter() - start
     log.info("trained %d steps in %.1fs", step, elapsed)
-    if len(data.test_ids) > l:
-        mean, _ = evaluate_ce(model, data.test_ids)
-        rows.append((step, "test", "ce", mean))
     if checkpoint_path is not None:
         model.save(checkpoint_path, vocab_chars=list(vocab.chars) if vocab else None,
                    extra=checkpoint_extra)

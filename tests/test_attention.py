@@ -428,8 +428,34 @@ class TestGraphShape:
         # a single head's output is the layer's attention output, with no concat
         assert sum(op.startswith("concat") for op in ops) == (0 if H == 1 else 2)
 
+    NODES = {"csa": 139, "qisa": 181, "qisa_a": 181, "qsann": 505, "qsann_v1": 235, "qsann_v2": 235}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_node_count_at_the_bench_shape(self, variant):
+        """m=16, 6 layers, l=16, H=1, batch 2: each MLP is one node that reads
+        the block's parameters directly, and the query and key of a circuit
+        variant share one lifted stack."""
+        model = LanguageModel(ModelConfig(vocab_size=5, m=16, H=1, n_layers=6, l=16, variant=variant))
+        ids = np.arange(32).reshape(2, 16) % 5
+        loss = cross_entropy(model.forward(ids, training=True).reshape(-1, 5), ids.reshape(-1))
+        nodes = _toposort(loss)
+        assert len(nodes) == self.NODES[variant]
+        mlps = [node for node in nodes if node._backward_fn is not None
+                and node._backward_fn.__qualname__.startswith("mlp.")]
+        assert [node._parents[1:] for node in mlps] == [
+            (b.ln2_gain, b.ln2_bias, b.mlp_w1, b.mlp_b1, b.mlp_w2, b.mlp_b2) for b in model.blocks]
+        ops = [node._backward_fn.__qualname__ for node in nodes if node._backward_fn is not None]
+        assert not any(op.startswith("gelu") for op in ops)
+        # the embedding sum and two residual adds per block; the MLPs add nothing
+        assert sum(op.startswith("add.") for op in ops) == 1 + 2 * 6
+
 
 class TestQSANNFamily:
+    @pytest.mark.parametrize("variant", ["qsann", "qsann_v1", "qsann_v2"])
+    def test_query_and_key_share_one_lifted_stack(self, variant):
+        w = make_weights(variant, m=4, H=1, l=4)
+        assert w._lifted["query"] is w._lifted["key"]
+
     def test_qsann_parameter_count_example(self):
         spec = AttentionSpec("qsann", m=16, H=1, l=16, p=1)
         assert count_params(spec) == 3 * 3 * 4 * 1 * 16 == 576

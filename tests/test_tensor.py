@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import finite_diff, grad_of, rel_err
+from qisa_lab import tensor
 from qisa_lab.errors import ContractError, DegenerateTokenError, NumericError, ShapeError
 from qisa_lab.tensor import (
     Tensor,
@@ -15,6 +16,7 @@ from qisa_lab.tensor import (
     gelu,
     layer_norm,
     matmul,
+    mlp,
     no_grad,
     normalize_rows,
     reshape,
@@ -135,6 +137,66 @@ class TestLayerNorm:
         assert rel_err(g, n) < 1e-6
         g, n = grad_of(lambda t: (layer_norm(Tensor(x0), Tensor(gain0), t) * Tensor(w)).sum(), bias0)
         assert rel_err(g, n) < 1e-6
+
+
+def reference_mlp(x, ln_gain, ln_bias, w1, b1, w2, b2):
+    """The composite chain the op fuses: layer_norm, matmul, add, gelu, matmul, add."""
+    return matmul(gelu(matmul(layer_norm(x, ln_gain, ln_bias), w1) + b1), w2) + b2
+
+
+class TestMLP:
+    NAMES = ("x", "ln_gain", "ln_bias", "w1", "b1", "w2", "b2")
+
+    @staticmethod
+    def arrays(rng, lead, m, hidden):
+        return [rng.normal(size=lead + (m,)), 1.0 + 0.1 * rng.normal(size=m), 0.1 * rng.normal(size=m),
+                rng.normal(size=(m, hidden)), rng.normal(size=hidden), rng.normal(size=(hidden, m)),
+                rng.normal(size=m)]
+
+    BLOCK_ROWS = tensor._GELU_BLOCK // 64  # rows of a 64-wide hidden array in one GELU block
+
+    # batches of 16 rows: less than one block, exactly one, and two blocks and a remainder
+    @pytest.mark.parametrize("batch", [BLOCK_ROWS // 64, BLOCK_ROWS // 16, BLOCK_ROWS // 8 + 11])
+    def test_bit_identical_to_the_chain(self, batch, rng):
+        arrays = self.arrays(rng, (batch, 16), 16, 64)
+        c = rng.normal(size=arrays[0].shape)
+        results = []
+        for op in (mlp, reference_mlp):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(*leaves)
+            (out * Tensor(c)).sum().backward()
+            results.append((out.data, [t.grad for t in leaves]))
+        (fused, fused_grads), (chain, chain_grads) = results
+        np.testing.assert_array_equal(fused, chain)
+        for name, a, b in zip(self.NAMES, fused_grads, chain_grads):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        with no_grad():  # inference writes the activation over its pre-activation
+            np.testing.assert_array_equal(mlp(*map(Tensor, arrays)).data, chain)
+
+    def test_gradients(self, rng):
+        arrays = self.arrays(rng, (2, 3), 4, 8)
+        c = rng.normal(size=(2, 3, 4))
+        for i, name in enumerate(self.NAMES):
+            def loss(t, i=i):
+                args = [t if j == i else Tensor(a) for j, a in enumerate(arrays)]
+                return (mlp(*args) * Tensor(c)).sum()
+
+            g, n = grad_of(loss, arrays[i])
+            assert rel_err(g, n) < 1e-6, name
+
+    def test_node_holds_three_hidden_sized_arrays(self, rng):
+        leaves = [Tensor(a, requires_grad=True) for a in self.arrays(rng, (8, 16), 16, 64)]
+        out = mlp(*leaves)
+        held = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        hidden = [a for a in held if isinstance(a, np.ndarray) and a.size == 8 * 16 * 64]
+        assert len(hidden) <= 3  # the pre-activation z, the tanh t and the activation h
+
+    def test_shape_mismatch(self, rng):
+        x, gain, bias, w1, b1, w2, b2 = map(Tensor, self.arrays(rng, (2, 3), 4, 8))
+        with pytest.raises(ShapeError):
+            mlp(x, gain, bias, w1, Tensor(np.zeros(4)), w2, b2)
+        with pytest.raises(ShapeError):
+            mlp(x, Tensor(np.ones(3)), bias, w1, b1, w2, b2)
 
 
 class TestCrossEntropy:
