@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import qsim
-from .attention import AttentionSpec, AttentionWeights, attention_forward, causal_mask
+from .attention import AttentionSpec, AttentionWeights, Entry, attention_forward, causal_mask
 from .errors import CacheMissError, CheckpointError, ConfigError, ContextOverflowError, ContractError
 from .qsim import ObservableCache
 from .tensor import Tensor, dropout, gather_rows, layer_norm, matmul, mlp, no_grad, pack, reshape
@@ -85,7 +85,7 @@ class Block:
         self.mlp_w2 = Tensor(rng.normal(0.0, 0.02, (hidden, m)), requires_grad=True)
         self.mlp_b2 = Tensor(np.zeros(m), requires_grad=True)
 
-    def forward(self, x: Tensor, mask: np.ndarray, coeffs: list[dict[str, Tensor]] | None) -> Tensor:
+    def forward(self, x: Tensor, mask: np.ndarray, coeffs: list[dict[str, Entry]] | None) -> Tensor:
         a = attention_forward(layer_norm(x, self.ln1_gain, self.ln1_bias), self.attn, mask, coeffs)
         x = x + a
         return x + mlp(x, self.ln2_gain, self.ln2_bias, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
@@ -249,9 +249,11 @@ class LanguageModel:
 
     def coefficients(self, cache: ObservableCache | None = None) -> list:
         """The coefficient table that ``forward`` takes: per layer, the heads'
-        feature coefficients A by role, each [L, K, m, m] (None per layer for
-        csa).  Without a cache it is built from the weights, on the tape
-        unless under ``no_grad``.  With one it holds the cache's frozen A,
+        feature entries by role (None per layer for csa).  Without a cache
+        it is built from the weights: on the tape, where the roles of
+        ``attention.MAP_SOURCES`` hold their map stack and constant lifted
+        stack and the others A [L, K, m, m], or under ``no_grad``, where
+        every role holds A.  With a cache it holds the cache's frozen A,
         after one check of its variant, its parameter hash (qsann_v1 and
         qsann_v2 of one seed share parameters), that it holds no (layer,
         head) the model lacks, and each entry's roles and shapes."""

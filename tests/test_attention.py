@@ -18,9 +18,10 @@ from qisa_lab.attention import (
     count_params,
     output_projection_params,
     quadratic_features,
+    role_features,
     total_attention_params,
 )
-from qisa_lab.errors import ConfigError, NumericError, ShapeError
+from qisa_lab.errors import ConfigError, ContractError, NumericError, ShapeError
 from qisa_lab.model import LanguageModel, ModelConfig
 from qisa_lab.qsim import (
     AnsatzParams,
@@ -74,7 +75,7 @@ def reference_attention(q, k, v, mask, kernel):
 def features(w, x, role="value", head=0):
     """One head's features of tokens x [B, l, m] on the training path."""
     xn = normalize_rows(Tensor(x), zero_fallback=True)
-    return quadratic_features(xn, w.coefficients()[head][role]).data
+    return role_features(xn, w.coefficients()[head][role]).data
 
 
 class TestSpec:
@@ -257,7 +258,8 @@ class TestQuadraticFeatures:
 
     @pytest.mark.parametrize("per_position", [False, True])
     def test_gradients_match_finite_differences(self, per_position, rng):
-        # a non-symmetric A, and one more position stack than tokens use
+        # a non-symmetric A; a per-position stack, one longer than the tokens
+        # use, is a constant (per-position maps train on the map route)
         x0 = rng.normal(size=(2, 3, 4))
         a0 = rng.normal(size=(4 if per_position else 1, 2, 4, 4))
         weights = rng.normal(size=(2, 3, 2))
@@ -265,14 +267,54 @@ class TestQuadraticFeatures:
         def loss(x, a):
             return (quadratic_features(x, a) * Tensor(weights)).sum()
 
-        xt, at = Tensor(x0.copy(), requires_grad=True), Tensor(a0.copy(), requires_grad=True)
+        xt, at = Tensor(x0.copy(), requires_grad=True), Tensor(a0.copy(), requires_grad=not per_position)
         loss(xt, at).backward()
         dx = finite_diff(lambda arr: loss(Tensor(arr), Tensor(a0)).item(), x0.copy())
-        da = finite_diff(lambda arr: loss(Tensor(x0), Tensor(arr)).item(), a0.copy())
         assert rel_err(xt.grad, dx) < 1e-8
-        assert rel_err(at.grad, da) < 1e-8
-        if per_position:
-            assert not at.grad[3].any()  # the unused position gets no gradient
+        if not per_position:
+            da = finite_diff(lambda arr: loss(Tensor(x0), Tensor(arr)).item(), a0.copy())
+            assert rel_err(at.grad, da) < 1e-8
+
+    def test_per_position_stack_with_a_gradient_is_refused(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        with pytest.raises(ContractError, match="map route"):
+            quadratic_features(x, Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True))
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_folded_backward_equals_the_outer_product_route(self, m, k, rng):
+        """The constant-stack backward dx_n = M_n x_n, over 144 tokens (a
+        ragged last block of 16), against the outer-product GEMM."""
+        x, g = rng.normal(size=(9, 16, m)), rng.normal(size=(9, 16, k))
+        coeffs = rng.normal(size=(k, m, m))
+        folded = attention._folded_dx(g, x, coeffs)
+        assert rel_err(folded, attention._outer_dx(attention._outer(g, x), coeffs)) < 1e-12
+
+    @pytest.mark.parametrize("batch", [5, 32, 75])
+    def test_blocked_forward_keeps_the_bits(self, batch, rng):
+        """Below, at and above one block of sequences, with a ragged last
+        block, the blocked forms equal one unblocked call bit for bit."""
+        x, mats = rng.normal(size=(batch, 16, 16)), rng.normal(size=(1, 16, 16, 16))
+        single = attention._forms(x, attention._side_by_side(mats)[0])
+        np.testing.assert_array_equal(batched_quadratic_forms(x, mats), single)
+
+    def test_constant_stack_peak_memory(self, rng):
+        """One forward and backward of the op at [256, 16, 16] against qisa's
+        constant stack (K = 16) allocate under 3 MiB at their peak: neither
+        the [N, K*m] rows nor an outer product is held for the whole batch."""
+        import tracemalloc
+
+        x = Tensor(rng.normal(size=(256, 16, 16)), requires_grad=True)
+        lifted = _lift(select_observables(4, 16, "real_congruence"), real=True)
+        g = rng.normal(size=(256, 16, 16))
+        tracemalloc.start()
+        try:
+            quadratic_features(x, lifted)._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_shape_mismatch(self, rng):
         x = Tensor(rng.normal(size=(1, 5, 4)))
@@ -282,6 +324,54 @@ class TestQuadraticFeatures:
             quadratic_features(x, Tensor(np.zeros((1, 2, 2, 2))))
         with pytest.raises(ShapeError):
             quadratic_features(x, Tensor(np.zeros((2, 4, 4))))  # no stack axis
+
+
+class TestMapRoute:
+    """qisa's W~ and qsann's per-position circuits train from the map: on
+    the tape their table holds (S, P~) and the features are those of S x."""
+
+    @pytest.mark.parametrize("variant", ["qisa", "qsann"])
+    def test_training_features_equal_cache_features(self, variant, rng):
+        model = LanguageModel(ModelConfig(vocab_size=5, m=4, n_layers=2, l=4, variant=variant))
+        xn = normalize_rows(Tensor(rng.normal(size=(3, 4, 4))), zero_fallback=True)
+        cached = model.coefficients(model.build_observable_cache())
+        for block, heads in zip(model.blocks, cached):
+            taped = block.attn.coefficients()[0]
+            assert set(taped) == set(heads[0])
+            for role, entry in taped.items():
+                assert isinstance(entry, tuple) and isinstance(heads[0][role], Tensor)
+                got = role_features(xn, entry).data
+                assert rel_err(got, role_features(xn, heads[0][role]).data) < 1e-10
+
+    @pytest.mark.parametrize("tokens", [3, 4])
+    @pytest.mark.parametrize("variant", ["qisa", "qsann"])
+    def test_gradients_match_finite_differences(self, variant, tokens, rng):
+        """The map's parameters (W~, or every position's angles, those past
+        the tokens taking none) and the tokens, through map_tokens and the
+        constant-stack features."""
+        w = make_weights(variant, m=4, H=1, l=4)
+        x0 = rng.normal(size=(2, tokens, 4))
+        weights = rng.normal(size=(2, tokens, 4))
+
+        def loss(x):
+            return (attend(x, w, causal_mask(tokens)) * Tensor(weights)).sum()
+
+        xt = Tensor(x0.copy(), requires_grad=True)
+        loss(xt).backward()
+        assert rel_err(xt.grad, finite_diff(lambda arr: loss(Tensor(arr)).item(), x0.copy())) < 1e-6
+        value = w.coefficients()[0]["value"]
+        assert isinstance(value, tuple)
+        for name, t in w.named_parameters():
+            if name.endswith(("wv_tilde", "theta_q", "theta_k", "theta_v")):
+                analytic, base = t.grad.copy(), t.data.copy()
+
+                def at(arr, t=t):
+                    t.data = arr
+                    return loss(Tensor(x0)).item()
+
+                numeric = finite_diff(at, base.copy())
+                t.data = base
+                assert rel_err(analytic, numeric) < 1e-6, name
 
 
 class TestGaussianAttention:
@@ -428,7 +518,7 @@ class TestGraphShape:
         # a single head's output is the layer's attention output, with no concat
         assert sum(op.startswith("concat") for op in ops) == (0 if H == 1 else 2)
 
-    NODES = {"csa": 139, "qisa": 181, "qisa_a": 181, "qsann": 505, "qsann_v1": 235, "qsann_v2": 235}
+    NODES = {"csa": 139, "qisa": 163, "qisa_a": 181, "qsann": 451, "qsann_v1": 235, "qsann_v2": 235}
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_node_count_at_the_bench_shape(self, variant):
